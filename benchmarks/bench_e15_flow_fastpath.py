@@ -10,18 +10,13 @@ Replays the E15 sweeps and asserts the acceptance shape:
 * The E8 connection-scaling point runs measurably faster in *real*
   seconds with the cache on, while its simulated results stay put.
 
-Writes ``e15_flow_fastpath.json`` next to the E12–E14 artifacts, plus the
-consolidated ``BENCH_PR4.json`` (events fired + wall seconds for the
-E8/E12/E15 replays).
+Writes ``e15_flow_fastpath.json`` next to the E12–E14 artifacts.
 """
 
 import json
-import time
 from pathlib import Path
 
 from repro.experiments.common import fmt_table
-from repro.experiments import e8_connection_scaling as e8
-from repro.experiments import e12_batching as e12
 from repro.experiments.e15_flow_fastpath import (
     CHURN_COLUMNS,
     PLANE_COLUMNS,
@@ -30,34 +25,12 @@ from repro.experiments.e15_flow_fastpath import (
     run_e15_churn,
     run_e15_planes,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e15_flow_fastpath.json"
-CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR4.json"
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def test_e15_flow_fastpath(once):
-    plane_rows, plane_events, plane_s = _metered(once, run_e15_planes, count=192)
+    plane_rows = once(run_e15_planes, count=192)
     print("\n" + fmt_table(plane_rows, columns=PLANE_COLUMNS))
     churn_rows = run_e15_churn(count=192)
     print("\n" + fmt_table(churn_rows, columns=CHURN_COLUMNS))
@@ -100,24 +73,3 @@ def test_e15_flow_fastpath(once):
         + "\n"
     )
     print(f"wrote {ARTIFACT}")
-
-
-def test_bench_pr4_consolidated(once):
-    """One artifact comparing the replay cost of the suite's heavy
-    experiments on this tree: events fired and wall seconds each."""
-    entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
-    entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(e12.run_e12, count=160, batches=(1, 16, 64))
-    entries["e12"] = {"events": ev, "seconds": s}
-    rows, ev, s = _metered(once, run_e15_planes, count=192)
-    entries["e15"] = {"events": ev, "seconds": s}
-    entries["e15"]["kernel_cpu_speedup"] = next(
-        r["cpu_speedup"] for r in rows if r["plane"] == "kernel"
-    )
-
-    CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)
-    CONSOLIDATED.write_text(json.dumps(entries, indent=2) + "\n")
-    for name, e in entries.items():
-        print(f"{name}: {e['events']} events in {e['seconds']:.2f}s")
-    print(f"wrote {CONSOLIDATED}")

@@ -12,54 +12,27 @@ Replays the traced E1/E2 decomposition and asserts the acceptance shape:
 * Tracing is observational: the untraced replay of the same workload
   produces identical measured rows.
 
-Writes ``e16_latency_anatomy.json`` next to the E12–E15 artifacts, a
+Writes ``e16_latency_anatomy.json`` next to the E12–E15 artifacts and a
 sample Perfetto/Chrome trace (``e16_kernel_trace.json``, loadable at
-https://ui.perfetto.dev), and the consolidated ``BENCH_PR5.json``
-(events fired + wall seconds for the E8/E12/E15/E16 replays).
+https://ui.perfetto.dev).
 """
 
 import json
-import time
 from pathlib import Path
 
 from repro.experiments.common import fmt_table, run_bulk_tx
-from repro.experiments import e8_connection_scaling as e8
-from repro.experiments import e12_batching as e12
-from repro.experiments.e15_flow_fastpath import run_e15_planes
 from repro.experiments.e16_latency_anatomy import headline, run_e16
 from repro.dataplanes import KernelPathDataplane
-from repro.sim import Simulator
 from repro.trace import write_trace
 from repro.config import DEFAULT_COSTS
 from dataclasses import replace
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e16_latency_anatomy.json"
 SAMPLE_TRACE = Path(__file__).parent / "artifacts" / "e16_kernel_trace.json"
-CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR5.json"
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def test_e16_latency_anatomy(once):
-    result, _events, _s = _metered(once, run_e16, count=192)
+    result = once(run_e16, count=192)
     print("\n" + fmt_table(result["rows"]))
     print("\n" + fmt_table(result["stage_rows"]))
     h = headline(result)
@@ -99,26 +72,3 @@ def test_e16_latency_anatomy(once):
                       return_tb=True)
     n = write_trace(row.pop("tb").machine.tracer, SAMPLE_TRACE, limit=32)
     print(f"wrote {SAMPLE_TRACE} ({n} events)")
-
-
-def test_bench_pr5_consolidated(once):
-    """One artifact comparing the replay cost of the suite's heavy
-    experiments on this tree: events fired and wall seconds each."""
-    entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
-    entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(e12.run_e12, count=160, batches=(1, 16, 64))
-    entries["e12"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
-    entries["e15"] = {"events": ev, "seconds": s}
-    result, ev, s = _metered(once, run_e16, count=192)
-    entries["e16"] = {"events": ev, "seconds": s}
-    entries["e16"]["kernel_vs_kopi_cpu"] = headline(result)[
-        "kernel_vs_kopi_cpu_traced"
-    ]
-
-    CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)
-    CONSOLIDATED.write_text(json.dumps(entries, indent=2) + "\n")
-    for name, e in entries.items():
-        print(f"{name}: {e['events']} events in {e['seconds']:.2f}s")
-    print(f"wrote {CONSOLIDATED}")

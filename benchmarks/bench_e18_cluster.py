@@ -14,19 +14,12 @@ shape:
   victim mice's p99 latency by >= ``MIN_P99_IMPROVEMENT`` versus the
   no-migration leg, with every mouse still delivered.
 
-Writes ``e18_cluster.json`` and the consolidated ``BENCH_PR10.json``;
-the consolidated pass gates the exact-mode E8 replay's events/s within
-10% of the ``BENCH_PR9.json`` baseline — the balancer probe in the
-switch's forwarding loop and the Rack generalization must cost the
-default path nothing. (Skipped when no baseline exists.)
+Writes ``e18_cluster.json``.
 """
 
-import gc
 import json
-import time
 from pathlib import Path
 
-from repro.experiments import e8_connection_scaling as e8
 from repro.experiments.e18_cluster import (
     MIN_P99_IMPROVEMENT,
     headline,
@@ -34,45 +27,9 @@ from repro.experiments.e18_cluster import (
     run_rebalance_pair,
 )
 from repro.experiments.e21_fidelity_crossover import PARITY_COLUMNS
-from repro.experiments.e23_rack_fastforward import (
-    run_parity as run_e23_parity,
-)
 from repro.experiments.common import fmt_table
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e18_cluster.json"
-CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR10.json"
-PR9_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR9.json"
-
-MAX_E8_REGRESSION = 0.10
-
-
-def _metered(fn, *args, repeats=1, **kwargs):
-    """Run ``fn`` ``repeats`` times and return (result, total events fired
-    across every simulator one run built, best wall seconds) — bench-local
-    instrumentation. The event count is deterministic across repeats; the
-    wall clock is not, so regression-gated entries use best-of-N."""
-    best = None
-    for _ in range(repeats):
-        sims = []
-        orig_init = Simulator.__init__
-
-        def _tracking_init(self):
-            orig_init(self)
-            sims.append(self)
-
-        gc.collect()
-        Simulator.__init__ = _tracking_init
-        t0 = time.perf_counter()
-        try:
-            result = fn(*args, **kwargs)
-        finally:
-            Simulator.__init__ = orig_init
-        seconds = time.perf_counter() - t0
-        events = sum(s.events_fired for s in sims)
-        if best is None or seconds < best[2]:
-            best = (result, events, seconds)
-    return best
 
 
 def _e18():
@@ -135,51 +92,3 @@ def test_e18_cluster(once):
         + "\n"
     )
     print(f"wrote {ARTIFACT}")
-
-
-def test_bench_pr10_consolidated(once):
-    """One artifact comparing the replay cost of the suite's heavy
-    experiments on this tree — and the regression gate proving the
-    balancer probe and the N-host Rack refactor cost the exact path
-    nothing."""
-    entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024),
-                        packets_per_point=4_096, repeats=5)
-    entries["e8"] = {"events": ev, "seconds": s}
-    e23_parity, ev, s = _metered(run_e23_parity)
-    entries["e23"] = {"events": ev, "seconds": s,
-                      "parity_ok": bool(e23_parity["ok"])}
-    (parity, rebalance), ev, s = _metered(once, _e18)
-    entries["e18"] = {
-        "events": ev, "seconds": s,
-        "parity_ok": bool(parity["ok"]),
-        "max_rel_err": parity["max_rel_err"],
-        "p99_improvement": rebalance["improvement"],
-    }
-
-    CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)
-    CONSOLIDATED.write_text(json.dumps(entries, indent=2) + "\n")
-    for name, e in entries.items():
-        print(f"{name}: {e['events']} events in {e['seconds']:.2f}s")
-    print(f"wrote {CONSOLIDATED}")
-
-    # Exact-mode regression gate: E8 runs with cluster_lb (and
-    # fast_forward) off, so its events/s measures the default path the
-    # Rack refactor and the balancer hook must not slow.
-    if not PR9_BASELINE.exists():
-        print(f"{PR9_BASELINE.name} absent; skipping exact-mode "
-              f"E8 regression check")
-        return
-    base = json.loads(PR9_BASELINE.read_text()).get("e8")
-    if not base or not base.get("seconds"):
-        print(f"{PR9_BASELINE.name} has no usable e8 entry; skipping")
-        return
-    base_rate = base["events"] / base["seconds"]
-    cur_rate = entries["e8"]["events"] / entries["e8"]["seconds"]
-    drop = 1.0 - cur_rate / base_rate
-    print(f"e8 exact-mode: {cur_rate:,.0f} events/s vs baseline "
-          f"{base_rate:,.0f} ({drop:+.1%} drop)")
-    assert drop <= MAX_E8_REGRESSION, (
-        f"exact-mode E8 replay regressed {drop:.1%} "
-        f"(> {MAX_E8_REGRESSION:.0%}) vs {PR9_BASELINE.name}"
-    )

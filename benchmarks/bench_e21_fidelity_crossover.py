@@ -7,61 +7,28 @@ shape:
 * Parity: exact and hybrid runs of the *identical* schedule agree — the
   counted observables (delivered, RX, fastpath hits/misses, DMA) match
   exactly, modeled time and every trace stage land within the pinned
-  ``ff_tolerance``, and conservation holds on both legs.
+  ``FF_TOLERANCE``, and conservation holds on both legs.
 * Crossover: at 100k+ connections the hybrid leg delivers packets at
   >= 20x the packet-exact rate (delivered-packets-per-wall-second, exact
   probe measured at the same structure scale).
 
-Writes ``e21_fidelity_crossover.json`` next to the E12–E16 artifacts and
-the consolidated ``BENCH_PR6.json`` (events fired + wall seconds for the
-E8/E15/E16/E21 replays). The consolidated pass doubles as a regression
-gate: if the exact-mode E8 replay's events/s dropped more than 10%
-against the ``BENCH_PR5.json`` baseline, the hybrid machinery leaked
-cost into the default path — fail. (Skipped when no baseline exists.)
+Writes ``e21_fidelity_crossover.json`` next to the E12–E16 artifacts.
 """
 
 import json
-import time
 from pathlib import Path
 
-from repro.experiments import e8_connection_scaling as e8
 from repro.experiments.common import fmt_table
-from repro.experiments.e15_flow_fastpath import run_e15_planes
-from repro.experiments.e16_latency_anatomy import run_e16
 from repro.experiments.e21_fidelity_crossover import (
     PARITY_COLUMNS,
     headline,
     run_parity,
     run_speedup,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e21_fidelity_crossover.json"
-CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR6.json"
-PR5_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR5.json"
 
 MIN_SPEEDUP = 20.0
-MAX_E8_REGRESSION = 0.10
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def _crossover():
@@ -103,48 +70,3 @@ def test_e21_fidelity_crossover(once):
         + "\n"
     )
     print(f"wrote {ARTIFACT}")
-
-
-def test_bench_pr6_consolidated(once):
-    """One artifact comparing the replay cost of the suite's heavy
-    experiments on this tree — and the regression gate proving the
-    hybrid engine costs the exact path nothing."""
-    entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
-    entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
-    entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e16, count=192)
-    entries["e16"] = {"events": ev, "seconds": s}
-    parity, ev, s = _metered(once, run_parity)
-    entries["e21"] = {
-        "events": ev, "seconds": s,
-        "parity_ok": bool(parity["ok"]),
-        "fluid_fraction": parity["fluid_fraction"],
-    }
-
-    CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)
-    CONSOLIDATED.write_text(json.dumps(entries, indent=2) + "\n")
-    for name, e in entries.items():
-        print(f"{name}: {e['events']} events in {e['seconds']:.2f}s")
-    print(f"wrote {CONSOLIDATED}")
-
-    # Exact-mode regression gate: E8 runs with fast_forward off, so its
-    # events/s measures the default path the hybrid engine must not slow.
-    if not PR5_BASELINE.exists():
-        print(f"{PR5_BASELINE.name} absent; skipping exact-mode "
-              f"E8 regression check")
-        return
-    base = json.loads(PR5_BASELINE.read_text()).get("e8")
-    if not base or not base.get("seconds"):
-        print(f"{PR5_BASELINE.name} has no usable e8 entry; skipping")
-        return
-    base_rate = base["events"] / base["seconds"]
-    cur_rate = entries["e8"]["events"] / entries["e8"]["seconds"]
-    drop = 1.0 - cur_rate / base_rate
-    print(f"e8 exact-mode: {cur_rate:,.0f} events/s vs baseline "
-          f"{base_rate:,.0f} ({drop:+.1%} drop)")
-    assert drop <= MAX_E8_REGRESSION, (
-        f"exact-mode E8 replay regressed {drop:.1%} "
-        f"(> {MAX_E8_REGRESSION:.0%}) vs {PR5_BASELINE.name}"
-    )

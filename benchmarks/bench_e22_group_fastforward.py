@@ -1,110 +1,50 @@
-"""E22 — group fast-forward bench: one epoch per group must stay exact
-and beat per-flow epochs decisively.
+"""E22 — group fast-forward bench: one epoch per group must stay exact.
 
-Replays both legs of the group fast-forward experiment and asserts the
-acceptance shape:
+Replays the group fast-forward parity experiment and asserts the
+acceptance shape: exact and hybrid runs of the *identical* RX+TX schedule
+agree — the counted observables (the E21 RX set plus the TX set: NIC
+tx_pkts, peer rx counters, egress sent, qdisc enqueued/emitted, doorbell
+MMIO writes, the TX DMA ledger) match exactly, modeled time and every
+trace stage land within the pinned ``FF_TOLERANCE``, conservation holds
+on both legs, and grouping actually engaged (>= 2 groups, >= 1 group
+epoch).
 
-* Parity: exact and hybrid runs of the *identical* RX+TX schedule agree —
-  the counted observables (the E21 RX set plus the TX set: NIC tx_pkts,
-  peer rx counters, egress sent, qdisc enqueued/emitted, doorbell MMIO
-  writes, the TX DMA ledger) match exactly, modeled time and every trace
-  stage land within the pinned ``ff_tolerance``, conservation holds on
-  both legs, and grouping actually engaged (>= 2 groups, >= 1 group
-  epoch).
-* Speedup: at 100k+ connections the same absorb/flush schedule runs
-  >= 3x faster with group charging than with PR 6's per-flow epochs.
-
-Writes ``e22_group_fastforward.json`` next to the earlier artifacts and
-the consolidated ``BENCH_PR7.json`` (events fired + wall seconds for the
-E8/E15/E21/E22 replays). The consolidated pass doubles as a regression
-gate: if the exact-mode E8 replay's events/s dropped more than 10%
-against the ``BENCH_PR6.json`` baseline, the calendar queue or the group
-machinery leaked cost into the default path — fail. (Skipped when no
-baseline exists.)
+Writes ``e22_group_fastforward.json`` next to the earlier artifacts.
 """
 
-import gc
 import json
-import time
 from pathlib import Path
 
-from repro.experiments import e8_connection_scaling as e8
 from repro.experiments.common import fmt_table
-from repro.experiments.e15_flow_fastpath import run_e15_planes
 from repro.experiments.e21_fidelity_crossover import (
     PARITY_COLUMNS,
     run_parity as run_e21_parity,
 )
-from repro.experiments.e22_group_fastforward import (
-    headline,
-    run_group_speedup,
-    run_parity,
-)
-from repro.sim import Simulator
+from repro.experiments.e22_group_fastforward import headline, run_parity
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e22_group_fastforward.json"
-CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR7.json"
-PR6_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR6.json"
-
-MIN_GROUP_SPEEDUP = 3.0
-MAX_E8_REGRESSION = 0.10
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    # Earlier 100k-connection legs leave large cyclic object graphs
-    # (testbeds reference their machines and closures back). Collect them
-    # now so their GC cost is not billed to the section being metered.
-    gc.collect()
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
-
-
-def _e22():
-    parity = run_parity()
-    speedup = run_group_speedup()
-    return parity, speedup
 
 
 def test_e22_group_fastforward(once):
-    parity, speedup = once(_e22)
-    h = headline(parity, speedup)
+    parity = once(run_parity)
+    h = headline(parity)
 
     print("\n" + fmt_table(parity["rows"] + parity["stage_rows"],
                            columns=PARITY_COLUMNS))
-    print("\n" + fmt_table([speedup]))
     print(f"\nheadline: parity_ok={h['parity_ok']} "
           f"max_rel_err={h['max_rel_err']:.4%} "
-          f"fluid={h['fluid_fraction']:.0%} grouped={h['grouped']} "
-          f"group speedup={h['speedup']:.1f}x @ {h['connections']:,} conns")
+          f"fluid={h['fluid_fraction']:.0%} grouped={h['grouped']}")
 
     # Acceptance: grouping and TX fast-forward are invisible in every
-    # counted observable, and one-epoch-per-group charging actually pays.
+    # counted observable.
     assert parity["ok"], parity["rows"] + parity["stage_rows"]
     for row in parity["rows"]:
         assert row["ok"], row
     assert parity["grouped"], parity["ff"]
     assert parity["fluid_fraction"] > 0.25
-    assert speedup["promoted"] == speedup["connections"]
-    assert speedup["group_epochs"] < speedup["per_flow_epochs"]
-    assert speedup["speedup"] >= MIN_GROUP_SPEEDUP, speedup
 
-    # The E21 parity leg (RX-only, per-flow charging path through the
-    # same rewritten engine) must still report zero error.
+    # The E21 parity leg (RX-only, through the same engine) must still
+    # report zero error.
     e21_parity = run_e21_parity()
     assert e21_parity["ok"], e21_parity["rows"]
     e21_max_err = max(float(r["rel_err"])
@@ -116,56 +56,10 @@ def test_e22_group_fastforward(once):
     ARTIFACT.write_text(
         json.dumps(
             {"headline": h, "parity": parity["rows"],
-             "stages": parity["stage_rows"], "speedup": speedup,
+             "stages": parity["stage_rows"],
              "ff": parity["ff"], "e21_max_rel_err": e21_max_err},
             indent=2,
         )
         + "\n"
     )
     print(f"wrote {ARTIFACT}")
-
-
-def test_bench_pr7_consolidated(once):
-    """One artifact comparing the replay cost of the suite's heavy
-    experiments on this tree — and the regression gate proving the
-    calendar queue and group machinery cost the exact path nothing."""
-    entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
-    entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
-    entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e21_parity)
-    entries["e21"] = {"events": ev, "seconds": s}
-    (parity, speedup), ev, s = _metered(once, _e22)
-    entries["e22"] = {
-        "events": ev, "seconds": s,
-        "parity_ok": bool(parity["ok"]),
-        "fluid_fraction": parity["fluid_fraction"],
-        "group_speedup": speedup["speedup"],
-    }
-
-    CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)
-    CONSOLIDATED.write_text(json.dumps(entries, indent=2) + "\n")
-    for name, e in entries.items():
-        print(f"{name}: {e['events']} events in {e['seconds']:.2f}s")
-    print(f"wrote {CONSOLIDATED}")
-
-    # Exact-mode regression gate: E8 runs with fast_forward off, so its
-    # events/s measures the default path the calendar queue must not slow.
-    if not PR6_BASELINE.exists():
-        print(f"{PR6_BASELINE.name} absent; skipping exact-mode "
-              f"E8 regression check")
-        return
-    base = json.loads(PR6_BASELINE.read_text()).get("e8")
-    if not base or not base.get("seconds"):
-        print(f"{PR6_BASELINE.name} has no usable e8 entry; skipping")
-        return
-    base_rate = base["events"] / base["seconds"]
-    cur_rate = entries["e8"]["events"] / entries["e8"]["seconds"]
-    drop = 1.0 - cur_rate / base_rate
-    print(f"e8 exact-mode: {cur_rate:,.0f} events/s vs baseline "
-          f"{base_rate:,.0f} ({drop:+.1%} drop)")
-    assert drop <= MAX_E8_REGRESSION, (
-        f"exact-mode E8 replay regressed {drop:.1%} "
-        f"(> {MAX_E8_REGRESSION:.0%}) vs {PR6_BASELINE.name}"
-    )

@@ -9,7 +9,7 @@ acceptance shape:
   and verdict-cache counters, doorbell MMIO writes, both copy ledgers,
   qdisc transit, switch frames/floods, both links' packet and byte
   meters) matches exactly, modeled CPU time and every per-host trace
-  stage land within the pinned ``ff_tolerance``, per-host span
+  stage land within the pinned ``FF_TOLERANCE``, per-host span
   conservation agrees between legs, and every connection actually bound
   end-to-end.
 * Crossover: at 10k+ cross-host connections the end-to-end fluid engine
@@ -18,21 +18,13 @@ acceptance shape:
   ``ff_cross_machine`` off).
 
 Writes ``e23_rack_fastforward.json`` (including the cross-host micro-opt
-before/after note) and the consolidated ``BENCH_PR9.json``; the
-consolidated pass gates the exact-mode E8 replay's events/s within 10%
-of the ``BENCH_PR8.json`` baseline — the switch/link hooks and the rack
-coordinator must cost the default path nothing. (Skipped when no
-baseline exists.)
+before/after note).
 """
 
-import gc
 import json
-import time
 from pathlib import Path
 
-from repro.experiments import e8_connection_scaling as e8
 from repro.experiments.common import fmt_table
-from repro.experiments.e15_flow_fastpath import run_e15_planes
 from repro.experiments.e21_fidelity_crossover import (
     PARITY_COLUMNS,
     run_parity as run_e21_parity,
@@ -42,14 +34,10 @@ from repro.experiments.e23_rack_fastforward import (
     run_crossover,
     run_parity,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e23_rack_fastforward.json"
-CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR9.json"
-PR8_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR8.json"
 
 MIN_RACK_SPEEDUP = 5.0
-MAX_E8_REGRESSION = 0.10
 
 #: Satellite 1 (micro-opt) before/after, measured on an isolated
 #: uplink→switch→downlink hop (200k pre-built frames, best of 4) at the
@@ -65,29 +53,6 @@ MICRO_OPT_NOTE = {
     "end_to_end_ns_per_pkt": "~100k (two full stacks; unchanged within "
                              "noise)",
 }
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    # The 10k-connection crossover leaves two full testbeds' cyclic object
-    # graphs behind; collect before metering so GC cost lands nowhere.
-    gc.collect()
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def _e23():
@@ -143,50 +108,3 @@ def test_e23_rack_fastforward(once):
         + "\n"
     )
     print(f"wrote {ARTIFACT}")
-
-
-def test_bench_pr9_consolidated(once):
-    """One artifact comparing the replay cost of the suite's heavy
-    experiments on this tree — and the regression gate proving the
-    switch/link fluid hooks cost the exact path nothing."""
-    entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
-    entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
-    entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e21_parity)
-    entries["e21"] = {"events": ev, "seconds": s}
-    (parity, speedup), ev, s = _metered(once, _e23)
-    entries["e23"] = {
-        "events": ev, "seconds": s,
-        "parity_ok": bool(parity["ok"]),
-        "fluid_fraction": parity["fluid_fraction"],
-        "rack_speedup": speedup["speedup"],
-        "bound": speedup["bound"],
-    }
-
-    CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)
-    CONSOLIDATED.write_text(json.dumps(entries, indent=2) + "\n")
-    for name, e in entries.items():
-        print(f"{name}: {e['events']} events in {e['seconds']:.2f}s")
-    print(f"wrote {CONSOLIDATED}")
-
-    # Exact-mode regression gate: E8 runs with fast_forward off, so its
-    # events/s measures the default path the new hooks must not slow.
-    if not PR8_BASELINE.exists():
-        print(f"{PR8_BASELINE.name} absent; skipping exact-mode "
-              f"E8 regression check")
-        return
-    base = json.loads(PR8_BASELINE.read_text()).get("e8")
-    if not base or not base.get("seconds"):
-        print(f"{PR8_BASELINE.name} has no usable e8 entry; skipping")
-        return
-    base_rate = base["events"] / base["seconds"]
-    cur_rate = entries["e8"]["events"] / entries["e8"]["seconds"]
-    drop = 1.0 - cur_rate / base_rate
-    print(f"e8 exact-mode: {cur_rate:,.0f} events/s vs baseline "
-          f"{base_rate:,.0f} ({drop:+.1%} drop)")
-    assert drop <= MAX_E8_REGRESSION, (
-        f"exact-mode E8 replay regressed {drop:.1%} "
-        f"(> {MAX_E8_REGRESSION:.0%}) vs {PR8_BASELINE.name}"
-    )

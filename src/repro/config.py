@@ -174,18 +174,6 @@ class CostModel:
     """Qdisc backlog (packets) at which queueing becomes load-dependent and
     every fluid flow is demoted (the ``qdisc_pressure`` boundary)."""
 
-    ff_tolerance: float = 0.02
-    """Pinned relative tolerance for E21's fidelity contract: fast-forwarded
-    latency/attribution totals must match packet-level runs within this."""
-
-    ff_group: bool = True
-    """Coalesce promoted flows sharing (plane, chain-version-vector, profile
-    shape) into one :class:`FlowGroup` per shape: a single epoch event and a
-    single horizon timer charge N_flows × N_pkts, so the epoch machinery
-    costs O(groups) events instead of O(flows). Off reproduces PR6's
-    per-flow epoch charging (the E22 comparison baseline). Only meaningful
-    with :attr:`fast_forward`."""
-
     ff_tx: bool = True
     """Fast-forward TX-side schedules too: a steady single-packet sender
     whose packets hit the TX verdict cache absorbs its app-timer → syscall
@@ -395,10 +383,6 @@ class CostModel:
                 raise ConfigError(
                     f"{knob} must be >= 1, got {getattr(self, knob)}"
                 )
-        if not 0 < self.ff_tolerance < 1:
-            raise ConfigError(
-                f"ff_tolerance must be in (0, 1), got {self.ff_tolerance}"
-            )
         if self.tenant_isolation and not self.tenants:
             raise ConfigError(
                 "tenant_isolation requires tenants: quotas and the "

@@ -329,22 +329,15 @@ class KopiTxFastForward:
     fixed pipeline → (empty) qdisc → wire. Promotion is driven by TX
     verdict-cache hits in the NIC's drain loop; absorption happens one
     layer up, in :meth:`NormanEndpoint.send_burst`, where an absorbed send
-    never even enters the ring. Epoch charging reuses the shared
-    :class:`~repro.dataplanes.base.Dataplane` bulk/group charge — the
-    surface carries the same ``name``/``machine`` contract, and its spans
-    land under the same plane tag so the E16 taxonomy stays one table.
+    never even enters the ring. The controller charges its epochs like any
+    plane's; the surface carries the same ``name``, so its spans land under
+    the same plane tag and the E16 taxonomy stays one table.
     """
 
     name = NormanOS.name
 
-    # Plain function reuse: the shared epoch charges only touch
-    # self.machine / self.name, both of which this surface provides.
-    ff_bulk_charge = Dataplane.ff_bulk_charge
-    ff_group_charge = Dataplane.ff_group_charge
-
     def __init__(self, os: NormanOS):
         self._os = os
-        self.machine = os.machine
 
     def _ff_conn(self, flow):
         """The live, NIC-resident connection whose cached TX verdict covers

@@ -238,41 +238,11 @@ class Dataplane:
         """Capture the frozen per-packet cost shape of ``flow``'s steady
         state as a :class:`~repro.sim.fastforward.FlowProfile` (or ``None``
         to refuse promotion after all). ``pkt`` is the packet whose exact
-        simulation just completed — the template the profile freezes."""
+        simulation just completed — the template the profile freezes. The
+        controller charges every epoch from this profile alone: its spans
+        and CPU share, plus the ``deliver`` closure replaying every other
+        side effect N exact packets would have had."""
         raise UnsupportedOperation(f"{self.name}: no fast-forward profile")
-
-    def ff_bulk_charge(self, flow, n: int, profile) -> None:
-        """Charge one ``FlowEpoch``: ``n`` packets of ``flow`` at the
-        frozen per-packet ``profile``, as one event. The trace spine gets
-        a count-weighted epoch (so the E16 taxonomy still sums exactly),
-        the profile's core absorbs ``n ×`` its per-packet CPU share, and
-        the plane-supplied ``deliver`` closure replays every remaining
-        side effect N exact packets would have had. Planes needing more
-        than this shared shape override and extend."""
-        machine = self.machine  # every concrete plane holds its Machine
-        machine.tracer.epoch(n, profile.spans, plane=self.name)
-        if profile.cpu_ns:
-            machine.cpus[profile.core_id].execute(
-                n * profile.cpu_ns, "ff_epoch")
-        if profile.deliver is not None:
-            profile.deliver(n)
-
-    def ff_group_charge(self, members, total_n: int, profile) -> None:
-        """Charge one *group* epoch: ``total_n`` packets spread over
-        ``members`` (``(flow, n, profile)`` triples sharing this plane,
-        chain-version-vector, and span shape) as ONE event. The trace
-        spine gets a single count-weighted epoch and the shared core one
-        bulk execute — CPU busy time is additive, so coalescing is exact —
-        while each member's ``deliver`` closure still replays its own
-        connection-scoped side effects (counters, credit, conntrack)."""
-        machine = self.machine
-        machine.tracer.epoch(total_n, profile.spans, plane=self.name)
-        if profile.cpu_ns:
-            machine.cpus[profile.core_id].execute(
-                total_n * profile.cpu_ns, "ff_epoch")
-        for _flow, n, prof in members:
-            if prof.deliver is not None:
-                prof.deliver(n)
 
     # --- accounting -----------------------------------------------------------
 

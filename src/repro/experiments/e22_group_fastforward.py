@@ -1,46 +1,43 @@
 """E22 — group fast-forward: one fluid epoch for many flows, and the TX
 side of the boundary.
 
-PR 6's hybrid engine (E21) charges one epoch event *per promoted flow*.
-This PR coalesces promoted flows that share a charging shape — same
-plane, same interposition chain version vector, same stage profile —
+The hybrid engine coalesces promoted flows that share a charging shape —
+same plane, same interposition chain version vector, same stage profile —
 into a :class:`~repro.sim.fastforward.FlowGroup` charged by a *single*
 epoch event, and extends fast-forward to the TX path: steady single-send
 schedules (app timer -> syscall -> qdisc -> ring doorbell -> wire) absorb
 into fluid epochs exactly like RX bursts, demoting at the same
-interposition boundaries. Two legs defend the change:
+interposition boundaries.
 
-* **(a) fidelity parity** — an RX+TX workload (peer bursts drained by the
-  application, plus spaced application sends toward the peer) runs twice
-  from identical schedules: packet-exact vs hybrid with grouping on.
-  Every counted observable must match *exactly* — the E21 RX set
-  (delivered, verdict-cache hits/misses, DMA direct ledger) plus the TX
-  set this PR adds: NIC ``tx_pkts``, peer ``rx_pkts``/``rx_bytes``,
-  egress link ``sent``, qdisc ``enqueued``/``emitted``, doorbell
-  ``mmio_writes``, and the TX DMA copy ledger. Modeled time (CPU busy,
-  per-stage service work) agrees within ``CostModel.ff_tolerance``.
-* **(b) group speedup** — at 100k+ connections, the *same* absorb/flush
-  schedule runs once with grouping (``ff_group=True``) and once in PR 6's
-  per-flow mode (``ff_group=False``). Grouping replaces 100k epoch
-  events, 100k tracer records, and 100k horizon timers per flush round
-  with a handful of group charges (one per app core); the headline is the
-  wall-clock ratio of the measured absorb+flush phase, required >= 3x.
+The parity leg defends both: an RX+TX workload (peer bursts drained by
+the application, plus spaced application sends toward the peer) runs
+twice from identical schedules, packet-exact vs hybrid. Every counted
+observable must match *exactly* — the E21 RX set (delivered,
+verdict-cache hits/misses, DMA direct ledger) plus the TX set: NIC
+``tx_pkts``, peer ``rx_pkts``/``rx_bytes``, egress link ``sent``, qdisc
+``enqueued``/``emitted``, doorbell ``mmio_writes``, and the TX DMA copy
+ledger. Modeled time (CPU busy, per-stage service work) agrees within
+:data:`~repro.experiments.e21_fidelity_crossover.FF_TOLERANCE`.
+
+Grouping replaces one epoch event, tracer record, and horizon timer per
+flow per flush round with a handful of group charges (one per app core).
+The former group-vs-per-flow wall-clock comparison is recorded in
+EXPERIMENTS.md; per-flow charging no longer exists.
 """
 
 from __future__ import annotations
 
-import gc
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..dataplanes import Testbed
-from ..dataplanes.testbed import HOST_IP, PEER_IP
+from ..dataplanes.testbed import PEER_IP
 from ..host.copies import LAYER_DMA
-from ..net.flow import FiveTuple
 from .common import Row, fmt_table
 from .e21_fidelity_crossover import (
     BURST_PER_CONN,
+    FF_TOLERANCE,
     PARITY_COLUMNS,
     PAYLOAD,
     TOLERANCE_KEYS,
@@ -48,7 +45,6 @@ from .e21_fidelity_crossover import (
     _leg_testbed,
     _observe,
     _send_burst,
-    _speedup_costs,
 )
 from .e21_fidelity_crossover import EXACT_KEYS as RX_EXACT_KEYS
 
@@ -62,11 +58,6 @@ TX_PER_ROUND = 4
 #: wire) completes before the next begins: rings and qdisc stay empty,
 #: which is the steady state the TX profile captures.
 TX_GAP_NS = 2_000
-
-GROUP_CONNS = 100_000
-#: Packets absorbed per connection per measured flush round.
-GROUP_BULK = 64
-GROUP_ROUNDS = 4
 
 #: TX-side counters that must match exactly between the parity legs, on
 #: top of E21's RX set.
@@ -144,11 +135,11 @@ def run_parity(
     rounds: int = PARITY_ROUNDS,
     costs: CostModel = DEFAULT_COSTS,
 ) -> Dict[str, object]:
-    """Leg (a): exact vs hybrid (groups + TX fast-forward on) over the
+    """Exact vs hybrid (groups + TX fast-forward on) over the
     combined RX+TX schedule."""
     exact = run_leg(n_conns, rounds, costs, fast_forward=False)
     hybrid = run_leg(n_conns, rounds, costs, fast_forward=True)
-    tol = costs.ff_tolerance
+    tol = FF_TOLERANCE
     rows: List[Row] = []
     ok = True
     for key in EXACT_KEYS + TOLERANCE_KEYS:
@@ -194,79 +185,8 @@ def run_parity(
     }
 
 
-def _speedup_leg(
-    n_conns: int, bulk: int, rounds: int, costs: CostModel, group: bool
-) -> Dict[str, object]:
-    """Warm every flow to promotion with exact packets, then run the
-    measured absorb/flush schedule in the requested charging mode."""
-    leg_costs = costs.replace(
-        fast_forward=True, ff_promote_after=1, ff_group=group,
-    )
-    tb = _leg_testbed(n_conns, leg_costs)
-    eps, slots = tb._e21_eps, tb._e21_slots  # type: ignore[attr-defined]
-    ff = tb.machine.ff
-    assert ff is not None
-    warmup = 1 + leg_costs.ff_promote_after  # install miss + promotion streak
-    for _ in range(warmup):
-        _send_burst(tb, eps, slots, 1)
-        tb.run_all()
-        _drain(tb, eps, 1)
-    flows = [FiveTuple(proto, PEER_IP, 600, HOST_IP, port)
-             for proto, port in slots]
-    promoted = ff.promoted_count
-    events0 = tb.sim.events_fired
-    absorbed = 0
-    # Earlier legs leave large cyclic testbed graphs behind; collect them
-    # now so deferred GC is not billed to the timed schedule below.
-    gc.collect()
-    t0 = time.perf_counter()
-    for _round in range(rounds):
-        for flow in flows:
-            if ff.absorb(flow, bulk):
-                absorbed += bulk
-        ff.flush_all()
-        tb.run_all()
-    wall = time.perf_counter() - t0
-    stats = ff.stats()
+def headline(parity: Dict[str, object]) -> dict:
     return {
-        "mode": "group" if group else "per_flow",
-        "promoted": promoted,
-        "absorbed": absorbed,
-        "wall_s": wall,
-        "events": tb.sim.events_fired - events0,
-        "epochs": stats["epochs"],
-        "group_epochs": stats.get("group_epochs", 0),
-    }
-
-
-def run_group_speedup(
-    n_conns: int = GROUP_CONNS,
-    bulk: int = GROUP_BULK,
-    rounds: int = GROUP_ROUNDS,
-    costs: CostModel = DEFAULT_COSTS,
-) -> Row:
-    """Leg (b): identical absorb/flush schedules, grouped vs per-flow
-    epoch charging, at full connection scale."""
-    base = _speedup_costs(costs, n_conns)
-    grouped = _speedup_leg(n_conns, bulk, rounds, base, group=True)
-    per_flow = _speedup_leg(n_conns, bulk, rounds, base, group=False)
-    speedup = per_flow["wall_s"] / max(grouped["wall_s"], 1e-9)
-    return {
-        "connections": n_conns,
-        "fluid_pkts": grouped["absorbed"],
-        "promoted": grouped["promoted"],
-        "group_wall_s": grouped["wall_s"],
-        "per_flow_wall_s": per_flow["wall_s"],
-        "group_events": grouped["events"],
-        "per_flow_events": per_flow["events"],
-        "group_epochs": grouped["group_epochs"],
-        "per_flow_epochs": per_flow["epochs"],
-        "speedup": speedup,
-    }
-
-
-def headline(parity: Dict[str, object], speedup: Optional[Row]) -> dict:
-    h = {
         "parity_ok": parity["ok"],
         "tolerance": parity["tolerance"],
         "fluid_fraction": parity["fluid_fraction"],
@@ -275,29 +195,19 @@ def headline(parity: Dict[str, object], speedup: Optional[Row]) -> dict:
             float(r["rel_err"]) for r in parity["rows"] + parity["stage_rows"]
         ),
     }
-    if speedup is not None:
-        h["connections"] = speedup["connections"]
-        h["speedup"] = speedup["speedup"]
-    return h
 
 
 def main() -> str:
     parity = run_parity()
-    speedup = run_group_speedup()
-    h = headline(parity, speedup)
+    h = headline(parity)
     return "\n".join([
         "group + TX fast-forward parity (exact vs hybrid, RX and TX schedules)",
         fmt_table(parity["rows"] + parity["stage_rows"], columns=PARITY_COLUMNS),
         "",
-        "group epoch speedup (grouped vs per-flow charging, same schedule)",
-        fmt_table([speedup]),
-        "",
         f"headline: flow groups and TX fast-forward stay invisible in the "
         f"counted observables (max relative error {h['max_rel_err']:.4%} "
         f"against a {h['tolerance']:.0%} tolerance, {h['fluid_fraction']:.0%} "
-        f"of packets fluid) and one-epoch-per-group charging is "
-        f"{h['speedup']:.1f}x faster than per-flow epochs at "
-        f"{h['connections']:,} connections",
+        f"of packets fluid)",
     ])
 
 

@@ -22,7 +22,7 @@ boundary's effect is simulated. Two legs defend it:
   DMA-direct on B), both verdict caches' hit/miss counters, the qdisc
   transit counters, switch frame/flood counters, and both links' packet
   and byte meters. Modeled CPU time agrees within
-  ``CostModel.ff_tolerance``; trace-span conservation status per host
+  :data:`FF_TOLERANCE`; trace-span conservation status per host
   must agree between the legs (cross-host TX contexts are closed at the
   far end of the *uplink*, then the downlink's wire time lands on the
   closed context — a pre-existing exact-mode property that fluid replay
@@ -52,7 +52,7 @@ from ..host.copies import LAYER_DMA, LAYER_DMA_DIRECT
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_UDP
 from .common import Row, fmt_table
-from .e21_fidelity_crossover import PARITY_COLUMNS
+from .e21_fidelity_crossover import FF_TOLERANCE, PARITY_COLUMNS
 
 PAYLOAD = 1_458
 PARITY_CONNS = 128
@@ -86,7 +86,7 @@ EXACT_KEYS = (
     "switch_frames", "switch_flooded",
     "uplink_sent", "uplink_bytes", "downlink_sent", "downlink_bytes",
 )
-#: Modeled-time observables compared within ``ff_tolerance``.
+#: Modeled-time observables compared within :data:`FF_TOLERANCE`.
 TOLERANCE_KEYS = ("a_cpu_busy_ns", "b_cpu_busy_ns")
 
 
@@ -265,7 +265,7 @@ def run_parity(
     schedule."""
     exact = run_leg(n_conns, rounds, costs, exact=True)
     hybrid = run_leg(n_conns, rounds, costs)
-    tol = costs.ff_tolerance
+    tol = FF_TOLERANCE
     rows: List[Row] = []
     ok = True
     for key in EXACT_KEYS + TOLERANCE_KEYS:

@@ -78,7 +78,8 @@ class Machine:
         # simulation wherever interposition state changes.
         self.ff: Optional[FastForwardController] = None
         if costs.fast_forward:
-            self.ff = FastForwardController(self.sim, costs)
+            self.ff = FastForwardController(self.sim, costs, self.tracer,
+                                            self.cpus)
             self.interpose.on_commit.append(self.ff.on_policy_commit)
             assert self.fastpath is not None  # enforced by CostModel
             self.fastpath.demotion_hook = self.ff.on_fastpath_event

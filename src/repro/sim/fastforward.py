@@ -15,13 +15,14 @@ event then charges ``N ×`` the per-packet cost per stage, so the trace
 taxonomy, the copy ledger, CPU busy time, and fastpath counters all move
 exactly as N packet-level events would have moved them.
 
-Promoted flows that share a plane, chain-version-vector, and profile shape
-coalesce into a :class:`FlowGroup` charged by a *single* epoch event: one
-``ff_group_charge`` per group per epoch replays N_flows × N_pkts of
-counters, ledger entries, CPU busy time, and trace stages, with one shared
-horizon timer instead of one per flow. Per-flow residue is flushed on
-demotion, so any single flow can drop back to packet-exact without
-disturbing its group.
+Every promoted flow is a member of a :class:`FlowGroup` — the flows that
+share a plane, chain-version-vector, and profile shape, a lone flow being
+a group of one. A group is charged by a *single* epoch event per epoch,
+replaying N_flows × N_pkts of counters, ledger entries, CPU busy time,
+and trace stages, with one shared horizon timer instead of one per flow.
+Per-flow residue is flushed on demotion, so any single flow can drop back
+to packet-exact without disturbing its group. Group flushes and residue
+flushes charge through the same routine.
 
 The safety contract is the *demotion* half: at every fidelity boundary the
 flow drops back to exact packet-level simulation **before** the boundary's
@@ -135,7 +136,7 @@ class FlowState:
     """Per-flow fast-forward bookkeeping."""
 
     __slots__ = ("key", "plane", "streak", "promoted", "profile",
-                 "pending", "flush_handle", "group")
+                 "pending", "group")
 
     def __init__(self, key, plane):
         self.key = key
@@ -144,8 +145,7 @@ class FlowState:
         self.promoted = False
         self.profile: Optional[FlowProfile] = None
         self.pending = 0         # absorbed packets awaiting an epoch flush
-        self.flush_handle = None # horizon event for the pending epoch
-        self.group: Optional[FlowGroup] = None
+        self.group: Optional[FlowGroup] = None  # set iff promoted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "fluid" if self.promoted else f"exact(streak={self.streak})"
@@ -156,8 +156,8 @@ class FlowGroup:
     """Promoted flows sharing (plane, chain-version-vector, profile shape).
 
     The group holds ONE pending-packet total and ONE horizon timer for all
-    its members, and flushes with a single ``ff_group_charge`` — so at
-    100k+ steady flows the epoch machinery costs O(groups) queue events,
+    its members, and flushes with a single charge — so at 100k+ steady
+    flows the epoch machinery costs O(groups) queue events,
     not O(flows). Per-flow pendings are still tracked (the residue), so a
     member can flush or demote alone without disturbing the group.
     """
@@ -184,23 +184,25 @@ class FlowGroup:
 class FastForwardController:
     """Tracks flow fidelity and turns absorbed packets into epoch charges.
 
-    The controller never charges costs itself: flushing calls back into the
-    owning plane's ``ff_bulk_charge(key, n, profile)`` (or the coalesced
-    ``ff_group_charge(members, total, profile)`` for a whole group) so each
-    dataplane stays the authority on what N of its packets cost. The
-    controller owns *when* — promotion streaks, epoch sizing, the flush
-    horizon, and the demote-on-boundary contract (flush first, so packets
-    absorbed before a boundary are charged under the profile that was valid
-    when they ran).
+    Each dataplane stays the authority on what one of its packets costs —
+    the :class:`FlowProfile` it captures at promotion — and the controller
+    charges epochs from that profile through one routine, :meth:`_charge`,
+    on the machine's ``tracer`` and ``cpus``. The controller owns *when* —
+    promotion streaks, epoch sizing, the flush horizon, and the
+    demote-on-boundary contract (flush first, so packets absorbed before a
+    boundary are charged under the profile that was valid when they ran).
+    A plane's fast-forward contract is ``name`` + ``ff_eligible`` +
+    ``ff_profile``.
     """
 
-    def __init__(self, sim, costs):
+    def __init__(self, sim, costs, tracer, cpus):
         self.sim = sim
         self.costs = costs
+        self.tracer = tracer
+        self.cpus = cpus
         self._flows: Dict[object, FlowState] = {}
         self._by_conn: Dict[int, List[FlowState]] = {}
         self._groups: Dict[object, FlowGroup] = {}
-        self._group_enabled = bool(getattr(costs, "ff_group", True))
         self._ws_bucket: Optional[int] = None
         # Cross-machine coordination hooks (wired by RackFastForward; all
         # None on a standalone host, which keeps per-host behaviour
@@ -254,8 +256,7 @@ class FastForwardController:
         self.promotions += 1
         if profile.conn_id is not None:
             self._by_conn.setdefault(profile.conn_id, []).append(state)
-        if self._group_enabled:
-            self._group_insert(state, plane, profile)
+        self._group_insert(state, plane, profile)
         if self.on_promote is not None:
             self.on_promote(plane, key, state)
 
@@ -269,6 +270,16 @@ class FastForwardController:
         group.members[state.key] = state
         state.group = group
 
+    def _group_remove(self, state: FlowState) -> None:
+        group = state.group
+        del group.members[state.key]
+        state.group = None
+        if not group.members:
+            if group.flush_handle is not None:
+                group.flush_handle.cancel()
+                group.flush_handle = None
+            del self._groups[group.key]
+
     def rebind(self, key, profile: FlowProfile) -> None:
         """Swap a promoted flow onto a new :class:`FlowProfile` — the
         cross-machine promotion path extends a sender's TX profile with the
@@ -279,15 +290,7 @@ class FastForwardController:
         if state is None or not state.promoted:
             raise SimulationError(f"rebind of unpromoted flow {key!r}")
         self._flush_state(state)
-        group = state.group
-        if group is not None:
-            group.members.pop(key, None)
-            state.group = None
-            if not group.members:
-                if group.flush_handle is not None:
-                    group.flush_handle.cancel()
-                    group.flush_handle = None
-                self._groups.pop(group.key, None)
+        self._group_remove(state)
         old = state.profile
         if old is not None and old.conn_id != profile.conn_id:
             if old.conn_id is not None:
@@ -299,8 +302,7 @@ class FastForwardController:
             if profile.conn_id is not None:
                 self._by_conn.setdefault(profile.conn_id, []).append(state)
         state.profile = profile
-        if self._group_enabled:
-            self._group_insert(state, state.plane, profile)
+        self._group_insert(state, state.plane, profile)
 
     def promoted(self, key) -> bool:
         state = self._flows.get(key)
@@ -356,30 +358,35 @@ class FastForwardController:
     def _absorb(self, state: FlowState, n: int) -> None:
         state.pending += n
         group = state.group
-        if group is not None:
-            if state.pending == n:
-                group.dirty.append(state)
-            group.pending_total += n
-            if group.pending_total >= self.costs.ff_epoch_packets:
-                self._flush_group(group)
-            elif group.flush_handle is None:
-                group.flush_handle = self.sim.after(
-                    self.costs.ff_horizon_ns, self._group_horizon_flush,
-                    group.key)
-            return
-        if state.pending >= self.costs.ff_epoch_packets:
-            self._flush_state(state)
-        elif state.flush_handle is None:
-            state.flush_handle = self.sim.after(
-                self.costs.ff_horizon_ns, self._horizon_flush, state.key)
+        if state.pending == n:
+            group.dirty.append(state)
+        group.pending_total += n
+        if group.pending_total >= self.costs.ff_epoch_packets:
+            self._flush_group(group)
+        elif group.flush_handle is None:
+            group.flush_handle = self.sim.after(
+                self.costs.ff_horizon_ns, self._group_horizon_flush,
+                group.key)
 
     # -- flushing ----------------------------------------------------------
 
-    def _horizon_flush(self, key) -> None:
-        state = self._flows.get(key)
-        if state is not None:
-            state.flush_handle = None
-            self._flush_state(state)
+    def _charge(self, plane, members, total_n: int,
+                profile: FlowProfile) -> None:
+        """Charge one ``FlowEpoch``: ``total_n`` packets spread over
+        ``members`` (``(key, n, profile)`` triples sharing ``plane``,
+        chain-version-vector, and span shape) as ONE event. The trace
+        spine gets a single count-weighted epoch (so the E16 taxonomy
+        still sums exactly) and the shared core one bulk execute — CPU
+        busy time is additive, so coalescing is exact — while each
+        member's ``deliver`` closure replays its own connection-scoped
+        side effects (counters, credit, conntrack, copy ledger)."""
+        self.tracer.epoch(total_n, profile.spans, plane=plane.name)
+        if profile.cpu_ns:
+            self.cpus[profile.core_id].execute(
+                total_n * profile.cpu_ns, "ff_epoch")
+        for _key, n, prof in members:
+            if prof.deliver is not None:
+                prof.deliver(n)
 
     def _group_horizon_flush(self, gkey) -> None:
         group = self._groups.get(gkey)
@@ -388,8 +395,8 @@ class FastForwardController:
             self._flush_group(group)
 
     def _flush_group(self, group: FlowGroup) -> None:
-        """One epoch event for the whole group: a single ``ff_group_charge``
-        replays every member's pending packets."""
+        """One epoch event for the whole group: a single charge replays
+        every member's pending packets."""
         if group.flush_handle is not None:
             group.flush_handle.cancel()
             group.flush_handle = None
@@ -410,33 +417,24 @@ class FastForwardController:
         self.epochs += 1
         self.group_epochs += 1
         self.fluid_packets += total
-        charge = getattr(group.plane, "ff_group_charge", None)
-        if charge is not None:
-            charge(members, total, members[0][2])
-        else:
-            for key, n, profile in members:
-                group.plane.ff_bulk_charge(key, n, profile)
+        self._charge(group.plane, members, total, members[0][2])
 
     def _flush_state(self, state: FlowState) -> None:
-        """Per-flow flush. For a grouped flow this is the *residue* flush:
-        it charges just this member's pending packets (one
-        ``ff_bulk_charge``) and leaves the rest of the group fluid."""
-        group = state.group
-        if group is None and state.flush_handle is not None:
-            state.flush_handle.cancel()
-            state.flush_handle = None
+        """The *residue* flush: charge just this member's pending packets
+        (a one-member charge) and leave the rest of its group fluid."""
         n = state.pending
         if n == 0:
             return
         state.pending = 0
-        if group is not None:
-            group.pending_total -= n
-            if group.pending_total == 0 and group.flush_handle is not None:
-                group.flush_handle.cancel()
-                group.flush_handle = None
+        group = state.group
+        group.pending_total -= n
+        if group.pending_total == 0 and group.flush_handle is not None:
+            group.flush_handle.cancel()
+            group.flush_handle = None
         self.epochs += 1
         self.fluid_packets += n
-        state.plane.ff_bulk_charge(state.key, n, state.profile)
+        profile = state.profile
+        self._charge(state.plane, ((state.key, n, profile),), n, profile)
 
     def flush(self, key) -> None:
         """Charge the flow's pending epoch now (no fidelity change)."""
@@ -454,9 +452,6 @@ class FastForwardController:
     def flush_all(self) -> None:
         for group in list(self._groups.values()):
             self._flush_group(group)
-        for state in list(self._flows.values()):
-            if state.group is None:
-                self._flush_state(state)
 
     # -- demotion (the fidelity boundaries) --------------------------------
 
@@ -464,9 +459,9 @@ class FastForwardController:
         """Drop ``key`` back to exact packet-level simulation. Pending
         absorbed packets are flushed first — they ran while the old profile
         was valid, so they are charged under it; everything after this call
-        is simulated packet-exact. A grouped flow flushes only its own
-        residue and leaves its group fluid. Returns True if the flow was
-        fluid."""
+        is simulated packet-exact. The flow flushes only its own residue
+        and leaves the rest of its group fluid. Returns True if the flow
+        was fluid."""
         if reason not in self.demotions:
             raise SimulationError(f"unknown demotion reason {reason!r}")
         if self.on_demote is not None:
@@ -483,15 +478,7 @@ class FastForwardController:
         if was_fluid:
             self._flush_state(state)
             self.demotions[reason] += 1
-            group = state.group
-            if group is not None:
-                group.members.pop(key, None)
-                state.group = None
-                if not group.members:
-                    if group.flush_handle is not None:
-                        group.flush_handle.cancel()
-                        group.flush_handle = None
-                    self._groups.pop(group.key, None)
+            self._group_remove(state)
             profile = state.profile
             if profile is not None and profile.conn_id is not None:
                 peers = self._by_conn.get(profile.conn_id)
@@ -499,8 +486,6 @@ class FastForwardController:
                     peers.remove(state)
                     if not peers:
                         del self._by_conn[profile.conn_id]
-        elif state.flush_handle is not None:  # pragma: no cover - invariant
-            state.flush_handle.cancel()
         return was_fluid
 
     def demote_conn(self, conn_id: int, reason: str) -> int:

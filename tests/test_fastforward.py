@@ -13,6 +13,7 @@ from repro.config import DEFAULT_COSTS
 from repro.errors import ConfigError, SimulationError
 from repro.core.norman import NormanOS
 from repro.dataplanes.testbed import HOST_IP, PEER_IP, Testbed
+from repro.host.cpu import CpuSet
 from repro.kernel.netfilter import CHAIN_INPUT, DROP, NetfilterRule
 from repro.net.flow import FiveTuple
 from repro.net.headers import PROTO_UDP
@@ -29,6 +30,7 @@ from repro.sim.fastforward import (
     FastForwardController,
     FlowProfile,
 )
+from repro.trace import Tracer
 
 PORT = 9_000
 SPORT = 700
@@ -40,6 +42,12 @@ SPORT = 700
 
 
 class StubPlane:
+    """Records every (key, n) the controller charges, through the deliver
+    closure of the profile it hands out (``profile`` is the template;
+    ``None`` refuses promotion)."""
+
+    name = "stub"
+
     def __init__(self, profile):
         self.profile = profile
         self.eligible = True
@@ -49,19 +57,26 @@ class StubPlane:
         return self.eligible
 
     def ff_profile(self, key, pkt):
-        return self.profile
+        t = self.profile
+        if t is None:
+            return None
+        return FlowProfile(
+            t.spans, core_id=t.core_id, wire_len=t.wire_len,
+            conn_id=t.conn_id,
+            deliver=lambda n: self.charges.append((key, n)))
 
-    def ff_bulk_charge(self, key, n, profile):
-        self.charges.append((key, n))
+
+def _new_controller(costs):
+    sim = Simulator()
+    return sim, FastForwardController(sim, costs, Tracer(sim),
+                                      CpuSet(sim, 2, costs))
 
 
 def _controller(**over):
-    costs = DEFAULT_COSTS.replace(
+    return _new_controller(DEFAULT_COSTS.replace(
         flow_fastpath=True, fast_forward=True, ff_promote_after=3,
         ff_epoch_packets=8, ff_horizon_ns=500, **over,
-    )
-    sim = Simulator()
-    return sim, FastForwardController(sim, costs)
+    ))
 
 
 def _profile(conn_id=7, wire_len=1_000):
@@ -136,7 +151,11 @@ class TestControllerUnit:
         assert plane.charges == []
         sim.run()
         assert plane.charges == [("k", 3)]
-        assert sim.now == 500  # the flush horizon, not the epoch boundary
+        # The flush horizon (not the epoch boundary), plus the 3 x 50 ns of
+        # CPU the epoch then charged to the profile's core.
+        assert sim.now == 500 + 3 * 50
+        # A lone flow is a group of one: its horizon flush is a group epoch.
+        assert ff.epochs == ff.group_epochs == 1
 
     def test_shape_mismatch_is_a_boundary(self):
         _sim, ff, plane = self._promoted()
@@ -151,8 +170,11 @@ class TestControllerUnit:
     def test_demote_flushes_pending_under_old_profile(self):
         _sim, ff, plane = self._promoted()
         ff.absorb("k", 5)
+        group_epochs = ff.group_epochs
         assert ff.demote("k", REASON_POLICY) is True
+        # The residue is charged once, as a per-flow epoch, not a group one.
         assert plane.charges == [("k", 5)]
+        assert ff.epochs == 1 and ff.group_epochs == group_epochs
         assert ff.demotions[REASON_POLICY] == 1
         assert ff.demote("k", REASON_POLICY) is False  # already exact
 
@@ -425,16 +447,13 @@ class TestConfigGating:
         with pytest.raises(ConfigError):
             DEFAULT_COSTS.replace(
                 flow_fastpath=True, fast_forward=True, ff_promote_after=0)
-        with pytest.raises(ConfigError):
-            DEFAULT_COSTS.replace(
-                flow_fastpath=True, fast_forward=True, ff_tolerance=1.5)
 
     def test_default_costs_are_exact_mode(self):
         assert DEFAULT_COSTS.fast_forward is False
 
 
 # ---------------------------------------------------------------------------
-# Property: group-epoch = per-flow-epoch = packet-exact
+# Property: group-epoch charging = packet-exact
 # ---------------------------------------------------------------------------
 
 
@@ -445,50 +464,44 @@ from hypothesis import strategies as st
 
 
 class LedgerPlane:
-    """Records exactly which (key, n) the controller charges, under both
-    the per-flow and the group charging entry points, so two charging
-    modes can be compared ledger-for-ledger."""
+    """Records exactly which (key, n) the controller charges, through each
+    profile's deliver closure, so the charge ledger can be compared with
+    the packets the schedule actually absorbed."""
 
-    def __init__(self, profiles):
-        self.profiles = profiles
+    name = "ledger"
+
+    def __init__(self, spans, cores):
+        self.spans = spans
+        self.cores = cores
         self.charged = Counter()
-        self.group_calls = 0
+        self.delivers = 0
 
     def ff_eligible(self, key):
         return True
 
     def ff_profile(self, key, pkt):
-        return self.profiles[key]
+        return FlowProfile(self.spans, core_id=self.cores[key],
+                           wire_len=1_000,
+                           deliver=lambda n: self._deliver(key, n))
 
-    def ff_bulk_charge(self, key, n, profile):
+    def _deliver(self, key, n):
+        assert n > 0
         self.charged[key] += n
-
-    def ff_group_charge(self, members, total_n, profile):
-        assert total_n == sum(n for _key, n, _prof in members)
-        assert all(n > 0 for _key, n, _prof in members)
-        self.group_calls += 1
-        for key, n, _prof in members:
-            self.charged[key] += n
+        self.delivers += 1
 
 
-def _drive_schedule(ops, group):
+def _drive_schedule(ops):
     """Replay one random promote/absorb/demote/commit/flush interleaving
-    through a controller in the requested charging mode. Returns the
-    charge ledger plus offered/exact/fluid packet counts per flow."""
-    costs = DEFAULT_COSTS.replace(
+    through a controller. Returns the controller, the charge ledger, and
+    offered/exact/fluid packet counts per flow."""
+    sim, ctl = _new_controller(DEFAULT_COSTS.replace(
         flow_fastpath=True, fast_forward=True, ff_promote_after=2,
-        ff_epoch_packets=8, ff_horizon_ns=500, ff_group=group,
-    )
-    sim = Simulator()
-    ctl = FastForwardController(sim, costs)
+        ff_epoch_packets=8, ff_horizon_ns=500,
+    ))
     keys = ["a", "b", "c", "d"]
     spans = (("nic_pipeline", 100, False, "rx"), ("ring", 50, True, "desc"))
     # Two shape classes: flows a/b group together, c/d group together.
-    profiles = {
-        k: FlowProfile(spans, core_id=(0 if k in "ab" else 1), wire_len=1_000)
-        for k in keys
-    }
-    plane = LedgerPlane(profiles)
+    plane = LedgerPlane(spans, {k: (0 if k in "ab" else 1) for k in keys})
     offered, exact, fluid = Counter(), Counter(), Counter()
     for action, ki, cnt in ops:
         key = keys[ki]
@@ -519,7 +532,7 @@ def _drive_schedule(ops, group):
     ctl.flush_all()
     ctl.demote_all(REASON_POLICY)
     sim.run()
-    return plane, offered, exact, fluid
+    return ctl, plane, offered, exact, fluid
 
 
 class TestChargingModeEquivalence:
@@ -536,19 +549,16 @@ class TestChargingModeEquivalence:
         )
     )
     @settings(max_examples=80, deadline=None)
-    def test_group_equals_per_flow_equals_exact(self, ops):
-        g_plane, g_offered, g_exact, g_fluid = _drive_schedule(ops, True)
-        p_plane, p_offered, p_exact, p_fluid = _drive_schedule(ops, False)
-        # Promotion decisions depend only on the schedule, so the
-        # exact/fluid split is identical across charging modes...
-        assert g_exact == p_exact
-        assert g_fluid == p_fluid
-        assert g_offered == p_offered
-        # ...and so is the charge ledger: every absorbed packet is
-        # charged exactly once to its own flow in both modes.
-        assert g_plane.charged == p_plane.charged
-        for key in g_offered:
-            assert g_plane.charged[key] == g_fluid[key]
-            assert g_plane.charged[key] + g_exact[key] == g_offered[key]
-        # Per-flow mode must never take the group entry point.
-        assert p_plane.group_calls == 0
+    def test_group_equals_exact(self, ops):
+        ctl, plane, offered, exact, fluid = _drive_schedule(ops)
+        # Every offered packet ran exactly once: simulated exact, or
+        # absorbed and then charged exactly once to its own flow — group
+        # flushes and demotion residue alike.
+        assert set(plane.charged) <= set(fluid)
+        for key in offered:
+            assert plane.charged[key] == fluid[key]
+            assert plane.charged[key] + exact[key] == offered[key]
+        assert ctl.fluid_packets == sum(fluid.values())
+        # Each epoch charges at least one member; group epochs are a
+        # subset of all epochs (the rest are per-flow residue flushes).
+        assert ctl.group_epochs <= ctl.epochs <= plane.delivers

@@ -19,6 +19,7 @@ from repro.config import DEFAULT_COSTS
 from repro.core import NormanOS
 from repro.dataplanes import KernelPathDataplane, Testbed
 from repro.errors import ConfigError, KernelError, NicResourceExhausted
+from repro.host.cpu import CpuSet
 from repro.experiments.e17_multi_tenant import PacedVictim
 from repro.host.tenants import (
     TENANT_SYSTEM_TID,
@@ -35,6 +36,7 @@ from repro.nic.tenant_sched import WeightedFairClock
 from repro.dataplanes.testbed import HOST_IP, HOST_MAC, PEER_IP, PEER_MAC
 from repro.sim import Simulator
 from repro.sim.fastforward import FastForwardController, FlowProfile
+from repro.trace import Tracer
 
 TENANT_COSTS = DEFAULT_COSTS.replace(tenants=True)
 ISO_COSTS = DEFAULT_COSTS.replace(tenants=True, tenant_isolation=True)
@@ -407,7 +409,9 @@ class TestFastForwardTenantCorrectness:
         costs = DEFAULT_COSTS.replace(
             flow_fastpath=True, fast_forward=True, tenants=True
         )
-        ctrl = FastForwardController(Simulator(), costs)
+        sim = Simulator()
+        ctrl = FastForwardController(sim, costs, Tracer(sim),
+                                     CpuSet(sim, 1, costs))
         plane = SimpleNamespace(ff_eligible=lambda _k: True, ff_profile=None)
         # Identical span shape, wire length and core — only the tenant
         # differs. The flows must land in two distinct fluid groups.
