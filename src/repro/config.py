@@ -75,9 +75,6 @@ class CostModel:
     bypass_tx_pkt_ns: int = 55
     """Per-packet userspace TX cost on a bypass ring."""
 
-    app_pkt_work_ns: int = 100
-    """Application-level work per packet (parse/serve), common to all paths."""
-
     # --- batching (burst-mode dataplane) ------------------------------------
     batch_size: int = 1
     """Packets moved per burst on every layer that supports bursts: ring
@@ -241,15 +238,10 @@ class CostModel:
     tenant_isolation: bool = False
     """Enforce tenant isolation on top of attribution: per-tenant
     flowtable and SRAM quotas (evict-within-tenant before evict-across),
-    a per-tenant egress scheduler (:attr:`tenant_sched`) replacing the
-    KOPI FIFO drain, and weighted fair arbitration of SmartNIC pipeline
-    passes and DMA bytes. Fast-forward promotion consults quota headroom
-    and fluid groups never span tenants. Requires :attr:`tenants`."""
-
-    tenant_sched: str = "drr"
-    """Per-tenant egress scheduler flavour: ``"drr"`` (deficit round
-    robin over byte quanta) or ``"wfq"`` (same DRR mechanism, weights
-    read as rate shares — the repo's WFQ realization, as in tc)."""
+    a per-tenant DRR egress scheduler replacing the KOPI FIFO drain, and
+    weighted fair arbitration of SmartNIC pipeline passes and DMA bytes.
+    Fast-forward promotion consults quota headroom and fluid groups never
+    span tenants. Requires :attr:`tenants`."""
 
     tenant_quantum_bytes: int = 1_514
     """DRR byte quantum per round for weight-1 tenants (one MTU frame):
@@ -304,7 +296,6 @@ class CostModel:
     rx_ring_entries: int = 256
     tx_ring_entries: int = 256
     ring_desc_bytes: int = 16
-    rx_buf_bytes: int = 2_048
 
     conn_hot_lines: int = 96
     """Cache lines of ring+buffer state a busy connection keeps hot (~6 KiB).
@@ -324,14 +315,8 @@ class CostModel:
     overlay_instr_ns: int = 2
     """Per-instruction latency of the overlay processor (pipelined FPGA)."""
 
-    overlay_max_instrs: int = 4_096
-    """Program capacity of one overlay slot."""
-
     conn_state_bytes: int = 320
     """On-NIC per-connection state (steering entry, seq/ack, counters)."""
-
-    filter_entry_bytes: int = 64
-    """On-NIC bytes per compiled filter rule."""
 
     # --- reconfiguration (experiment E10) ------------------------------------
     bitstream_load_ns: int = 2 * units.SEC
@@ -387,10 +372,6 @@ class CostModel:
             raise ConfigError(
                 "tenant_isolation requires tenants: quotas and the "
                 "per-tenant scheduler need resolved tenant identity"
-            )
-        if self.tenant_sched not in ("drr", "wfq"):
-            raise ConfigError(
-                f"tenant_sched must be 'drr' or 'wfq', got {self.tenant_sched!r}"
             )
         if self.tenant_quantum_bytes < 1:
             raise ConfigError(

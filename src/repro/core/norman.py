@@ -119,10 +119,9 @@ class NormanOS(Dataplane):
     def _install_tenant_scheduler(self) -> None:
         """Build the per-tenant egress qdisc from the registry's weight map.
 
-        Both ``tenant_sched`` settings land here: ``"drr"`` uses the byte
-        quantum directly, ``"wfq"`` reads the same weights as rate shares —
         DRR with per-weight quanta *is* a packetized weighted fair queue,
-        so one discipline realizes both (docs/multi_tenancy.md)."""
+        so one discipline realizes both DRR and WFQ semantics
+        (docs/multi_tenancy.md)."""
         from ..kernel.qdisc import DrrQdisc
 
         weights = self.machine.tenants.sched_weights()

@@ -131,31 +131,14 @@ class Endpoint:
     # --- burst interface ---------------------------------------------------
     #
     # The burst calls are the real dataplane surface; per-packet send/recv
-    # are the degenerate burst of one. Planes with a native batched path
-    # (rings with one doorbell per burst, sendmmsg, NAPI drains) override
-    # these; the defaults below sequentially replay per-packet calls so
-    # every endpoint supports the API even without amortization.
+    # are the degenerate burst of one. Every plane implements both natively
+    # (rings with one doorbell per burst, sendmmsg, NAPI drains).
 
     def send_burst(
         self, payload_lens: Sequence[int], dst: Optional[Tuple[IPv4Address, int]] = None
     ) -> Signal:
         """Send a burst of messages; resolves with the number admitted."""
-        lens = list(payload_lens)
-        result = Signal("send_burst")
-        state = {"sent": 0, "idx": 0}
-
-        def _next(sig: Optional[Signal] = None) -> None:
-            if sig is not None and sig.ok and sig.value:
-                state["sent"] += 1
-            if state["idx"] >= len(lens):
-                result.succeed(state["sent"])
-                return
-            i = state["idx"]
-            state["idx"] += 1
-            self.send(lens[i], dst).add_callback(_next)
-
-        _next()
-        return result
+        raise NotImplementedError
 
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
         """Receive up to ``max_msgs`` messages; resolves with the list.
@@ -163,25 +146,7 @@ class Endpoint:
         Blocking semantics follow :meth:`recv` for the *first* message;
         the rest are taken only if already available (MSG_WAITFORONE).
         """
-        result = Signal("recv_burst")
-        msgs: List[Message] = []
-
-        def _next(sig: Optional[Signal] = None) -> None:
-            if sig is not None:
-                if sig.failed:
-                    if msgs:
-                        result.succeed(msgs)
-                    else:
-                        result.fail(sig.exception)
-                    return
-                msgs.append(sig.value)
-                if len(msgs) >= max_msgs:
-                    result.succeed(msgs)
-                    return
-            self.recv(blocking=blocking if not msgs else False).add_callback(_next)
-
-        _next()
-        return result
+        raise NotImplementedError
 
     def close(self) -> None:
         self.closed = True
@@ -222,27 +187,6 @@ class Dataplane:
         """The host-wide ARP view an admin can inspect (``ifconfig``/ARP
         cache); empty when no layer observes ARP globally."""
         return []
-
-    # --- hybrid fidelity (flow-level fast-forward, experiment E21) ---------
-
-    def ff_eligible(self, flow) -> bool:
-        """Whether ``flow`` is in a steady state this plane can fluid-
-        approximate: its composed RX verdict sits live in the flow fast
-        path under the current policy epoch and nothing per-packet-
-        interesting (a capture, a NAT rewrite, a fallback path) is
-        attached. The default is an honest ``False`` — a plane must opt in
-        by overriding, and must then also implement :meth:`ff_profile`."""
-        return False
-
-    def ff_profile(self, flow, pkt):
-        """Capture the frozen per-packet cost shape of ``flow``'s steady
-        state as a :class:`~repro.sim.fastforward.FlowProfile` (or ``None``
-        to refuse promotion after all). ``pkt`` is the packet whose exact
-        simulation just completed — the template the profile freezes. The
-        controller charges every epoch from this profile alone: its spans
-        and CPU share, plus the ``deliver`` closure replaying every other
-        side effect N exact packets would have had."""
-        raise UnsupportedOperation(f"{self.name}: no fast-forward profile")
 
     # --- accounting -----------------------------------------------------------
 

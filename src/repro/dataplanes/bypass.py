@@ -309,54 +309,5 @@ class BypassDataplane(Dataplane):
     def data_movements(self) -> Dict[str, int]:
         return {"virtual": 0, "virtual_copied_bytes": 0, "physical": 0}
 
-    # --- hybrid fidelity ---------------------------------------------------
-    #
-    # Bypass exposes the predicate/profile contract (fast-forward is
-    # plane-agnostic); fluid delivery into its poll rings is not wired —
-    # only KOPI receives fluidly. Promotion here goes through the
-    # controller API (the fidelity tests), not the RX hot path.
-
-    def _ff_endpoint(self, flow):
-        fp = self.machine.fastpath
-        if fp is None:
-            return None
-        from ..interpose.fastpath import CHAIN_STEER
-
-        if fp.peek(CHAIN_STEER, flow) is None:
-            return None
-        for ep in self._endpoints:
-            if not ep.closed and ep.proto == flow.proto and ep.port == flow.dport:
-                return ep
-        return None
-
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on bypass: the NIC steering verdict is cached live
-        and an open endpoint owns the destination port. (There is no
-        capture point on this plane to conflict with, by construction.)"""
-        return self._ff_endpoint(flow) is not None
-
-    def ff_profile(self, flow, pkt):
-        from ..sim.fastforward import FlowProfile
-        from ..trace import STAGE_FASTPATH, STAGE_NIC_PIPELINE, STAGE_RING
-
-        ep = self._ff_endpoint(flow)
-        if ep is None:
-            return None
-        fp = self.machine.fastpath
-        costs = self.costs
-        spans = (
-            (STAGE_NIC_PIPELINE, costs.nic_pipeline_ns, False, "rx_pipeline"),
-            (STAGE_FASTPATH, fp.hit_ns, False, "steer_cache"),
-            (STAGE_RING, costs.bypass_rx_pkt_ns, True, "rx_desc"),
-        )
-        from ..interpose.fastpath import CHAIN_STEER
-
-        entry = fp.peek(CHAIN_STEER, flow)
-        return FlowProfile(
-            spans, core_id=ep.proc.core_id, wire_len=pkt.wire_len,
-            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
-            versions=entry.versions if entry is not None else (),
-        )
-
     def total_polls(self) -> int:
         return sum(ep.polls for ep in self._endpoints)

@@ -367,50 +367,3 @@ class HypervisorDataplane(Dataplane):
 
     def data_movements(self) -> Dict[str, int]:
         return {"virtual": 0, "virtual_copied_bytes": 0, "physical": 0}
-
-    # --- hybrid fidelity ---------------------------------------------------
-    #
-    # The hypervisor exposes the predicate/profile contract; fluid delivery
-    # into guest vrings is not wired — only KOPI receives fluidly.
-    # Promotion here goes through the controller API (the fidelity tests).
-
-    def _ff_endpoint(self, flow):
-        fp = self.machine.fastpath
-        if fp is None:
-            return None
-        entry = fp.peek(CHAIN_VSWITCH, flow)
-        if entry is None or entry.verdict == "drop":
-            return None
-        for ep in self._endpoints:
-            if not ep.closed and ep.proto == flow.proto and ep.port == flow.dport:
-                return ep
-        return None
-
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on the hypervisor: the vswitch match-action verdict
-        is cached live and not a drop, an open guest endpoint owns the port,
-        and no capture session needs per-packet visibility."""
-        if self._captures:
-            return False
-        return self._ff_endpoint(flow) is not None
-
-    def ff_profile(self, flow, pkt):
-        from ..sim.fastforward import FlowProfile
-        from ..trace import STAGE_FASTPATH, STAGE_NIC_PIPELINE, STAGE_RING
-
-        ep = self._ff_endpoint(flow)
-        if ep is None:
-            return None
-        fp = self.machine.fastpath
-        costs = self.costs
-        spans = (
-            (STAGE_FASTPATH, fp.hit_ns, False, "vswitch_cache"),
-            (STAGE_NIC_PIPELINE, costs.nic_pipeline_ns, False, "rx_pipeline"),
-            (STAGE_RING, costs.bypass_rx_pkt_ns, True, "rx_desc"),
-        )
-        entry = fp.peek(CHAIN_VSWITCH, flow)
-        return FlowProfile(
-            spans, core_id=ep.proc.core_id, wire_len=pkt.wire_len,
-            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
-            versions=entry.versions if entry is not None else (),
-        )

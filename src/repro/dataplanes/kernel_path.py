@@ -218,74 +218,3 @@ class KernelPathDataplane(Dataplane):
             + self.kernel.syscalls.metrics.counter("copy_out_bytes").value
         )
         return {"virtual": syscalls, "virtual_copied_bytes": copies, "physical": 0}
-
-    # --- hybrid fidelity ---------------------------------------------------
-    #
-    # The kernel plane exposes the eligibility predicate, bulk-charge
-    # contract, and a deliver closure that lands fluid epochs on the socket
-    # queue (``KernelNetStack.deliver_fluid`` — read-side copy costs stay
-    # exact because recv/recvmmsg charge them at read time). Promotion here
-    # happens through the controller API (exercised by the fidelity tests),
-    # not from the RX hot path, so the kernel stack never self-promotes on
-    # the multihost testbed — which is what keeps the rack gate from ever
-    # aiming a cross-machine epoch at it.
-
-    def _ff_sock(self, flow):
-        from ..kernel.netfilter import DROP
-
-        fp = self.machine.fastpath
-        if fp is None:
-            return None
-        sock = self.kernel.sockets.lookup(flow.proto, flow.dport)
-        if sock is None:
-            return None
-        from ..kernel.netfilter import CHAIN_INPUT
-
-        entry = fp.peek(CHAIN_INPUT, flow, sock.owner.pid)
-        if entry is None or entry.verdict == DROP:
-            return None
-        return sock
-
-    def ff_eligible(self, flow) -> bool:
-        """Steady state here: the INPUT-chain verdict for (flow, owner) is
-        live in the flow cache, it is not a drop, and no tap (tcpdump) needs
-        to see individual packets."""
-        if self.kernel.netstack._taps:
-            return False
-        return self._ff_sock(flow) is not None
-
-    def ff_profile(self, flow, pkt):
-        from ..sim.fastforward import FlowProfile
-        from ..trace import STAGE_FASTPATH, STAGE_NIC_PIPELINE, STAGE_PROTO
-
-        sock = self._ff_sock(flow)
-        if sock is None:
-            return None
-        fp = self.machine.fastpath
-        costs = self.costs
-        spans = (
-            (STAGE_NIC_PIPELINE, costs.nic_pipeline_ns, False, "rx_pipeline"),
-            (STAGE_PROTO, costs.kernel_rx_pkt_ns, True, "rx_proto"),
-            (STAGE_FASTPATH, fp.hit_ns, True, "input_chain"),
-            (STAGE_PROTO, costs.socket_demux_ns, True, "demux"),
-        )
-        from ..kernel.netfilter import CHAIN_INPUT
-
-        entry = fp.peek(CHAIN_INPUT, flow, sock.owner.pid)
-        netstack = self.kernel.netstack
-        payload_len = pkt.payload_len
-        src_ip, sport = flow.src_ip, flow.sport
-        pid = sock.owner.pid
-        points = entry.points if entry is not None else 0
-        ft = flow
-
-        def deliver(n: int) -> None:
-            fp.bulk_hit(CHAIN_INPUT, ft, pid, n, points=points)
-            netstack.deliver_fluid(sock, n, payload_len, src_ip, sport)
-
-        return FlowProfile(
-            spans, core_id=sock.owner.core_id, wire_len=pkt.wire_len,
-            payload_len=payload_len, src_ip=src_ip, sport=sport,
-            deliver=deliver,
-            versions=entry.versions if entry is not None else (),
-        )

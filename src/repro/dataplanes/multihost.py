@@ -110,11 +110,10 @@ class HostStack:
         if costs.fast_forward and costs.ff_cross_machine:
             # The rack-scale fluid path: the uplink forwards epochs through
             # the switch's learned-port fast path, and the downlink lands
-            # them in this host's promoted RX flows. A plane without a
-            # fluid RX entry (the kernel stack) only skips the downlink
-            # hook — its RX hot path never promotes, and the sender-side
-            # gate refuses TX promotion toward an unpromoted receiver, so
-            # no fluid epoch can ever be aimed at it.
+            # them in this host's promoted RX flows. Only KOPI promotes and
+            # has a fluid RX entry; any other plane skips the downlink hook,
+            # and the sender-side gate refuses TX promotion toward an
+            # unpromoted receiver, so no fluid epoch is ever aimed at it.
             self.uplink.attach_fluid(switch.fluid_ingress(self.port))
             rx_fluid = getattr(self.dataplane, "wire_rx_fluid", None)
             if rx_fluid is not None:
@@ -184,7 +183,6 @@ class Rack:
             for host in self.hosts:
                 self.rack.add_host(
                     host.name, host.machine,
-                    rx_plane=host.dataplane,
                     tx_plane=getattr(host.dataplane, "tx_ff", None),
                     ip=host.ip, mac=host.mac, port=host.port,
                     uplink=host.uplink, downlink=host.downlink,

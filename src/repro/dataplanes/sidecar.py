@@ -507,52 +507,3 @@ class SidecarDataplane(Dataplane):
 
     def sidecar_core_busy_ns(self) -> int:
         return self._score.busy_ns
-
-    # --- hybrid fidelity ---------------------------------------------------
-    #
-    # The sidecar exposes the predicate/profile contract; fluid delivery
-    # into its hand-off rings is not wired — only KOPI receives fluidly.
-    # Promotion here goes through the controller API (the fidelity tests).
-
-    def _ff_endpoint(self, flow):
-        fp = self.machine.fastpath
-        if fp is None:
-            return None
-        ep = self._endpoints.get((flow.proto, flow.dport))
-        if ep is None or ep.closed:
-            return None
-        entry = fp.peek(CHAIN_INPUT, flow, ep.proc.pid)
-        if entry is None or entry.verdict == DROP:
-            return None
-        return ep
-
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on the sidecar: the INPUT-chain verdict for
-        (flow, owner) is cached live and not a drop, and no capture session
-        needs per-packet visibility."""
-        if self._captures:
-            return False
-        return self._ff_endpoint(flow) is not None
-
-    def ff_profile(self, flow, pkt):
-        from ..sim.fastforward import FlowProfile
-
-        ep = self._ff_endpoint(flow)
-        if ep is None:
-            return None
-        fp = self.machine.fastpath
-        costs = self.costs
-        x_core = self.machine.coherence.transfer_cost_ns(
-            pkt.wire_len + 64, self.sidecar_core_id, ep.proc.core_id
-        )
-        spans = (
-            (STAGE_RING, costs.bypass_rx_pkt_ns, True, "sidecar_rx"),
-            (STAGE_FASTPATH, fp.hit_ns, True, "input_chain"),
-            (STAGE_COHERENCE, x_core, True, "x_core"),
-        )
-        entry = fp.peek(CHAIN_INPUT, flow, ep.proc.pid)
-        return FlowProfile(
-            spans, core_id=self.sidecar_core_id, wire_len=pkt.wire_len,
-            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
-            versions=entry.versions if entry is not None else (),
-        )

@@ -23,9 +23,10 @@ from ..nic.tenant_sched import WeightedFairClock
 class Machine:
     """One simulated server.
 
-    ``structural_cache=True`` wires the set-associative LLC model into the
-    DMA engine (needed for E8); with ``False`` the cheaper analytic DDIO
-    model is used and the DMA engine skips per-line cache bookkeeping.
+    ``structural_cache=True`` builds the set-associative LLC model as
+    ``llc``, whose lines KOPI's DDIO writes touch (needed for E8); with
+    ``False`` the cheaper analytic DDIO model is used and no per-line
+    cache bookkeeping runs.
     """
 
     def __init__(
@@ -49,7 +50,7 @@ class Machine:
         # passive until ``costs.tenants`` — nothing consults it on the
         # default path, which keeps the seed fingerprint byte-identical.
         self.tenants = TenantRegistry(costs)
-        self.dma = DmaEngine(self.sim, costs, llc=self.llc, ledger=self.copies)
+        self.dma = DmaEngine(costs, ledger=self.copies)
         if costs.tenant_isolation:
             # Weighted fair arbitration of DMA bytes between tenants —
             # the fluid counterpart of the egress DRR scheduler.

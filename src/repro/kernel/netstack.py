@@ -545,25 +545,6 @@ class KernelNetStack:
         else:
             sock.rx_queue.append(msg)
 
-    def deliver_fluid(self, sock: KernelSocket, n: int, payload_len: int,
-                      src_ip, sport: int) -> None:
-        """Bulk counterpart of the :meth:`_rx_effect` delivery tail for a
-        fast-forwarded epoch: ``n`` same-shape messages land on the socket
-        exactly as ``n`` packet-level deliveries would — bytes/packet
-        counters move, a blocked reader wakes for the first, the rest
-        queue. Read-side costs stay exact by construction: ``recv``/
-        ``recvmmsg`` charge the per-message copy at read time."""
-        msg = (payload_len, src_ip, sport)
-        sock.rx_bytes += n * payload_len
-        self.metrics.counter("rx_pkts").inc(n)
-        waiter = self._rx_waiters.pop(sock.port, None)
-        if waiter is not None:
-            proc, _woken = waiter
-            self.scheduler.wake(proc, value=msg)
-            n -= 1
-        if n:
-            sock.rx_queue.extend([msg] * n)
-
     # --- introspection ----------------------------------------------------------
 
     def connect(self, proc: Process, sock: KernelSocket, ip: IPv4Address, port: int) -> Signal:

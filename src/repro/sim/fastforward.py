@@ -590,27 +590,25 @@ def peer_path_ready(switch, peer: Optional["RackHost"], key) -> bool:
     if ctrl is None or not ctrl.promoted(key):
         return False
     if not peer.downlink.has_fluid_rx:
-        # A stack without a fluid RX entry (the kernel netstack's hot
-        # path) can still hold controller-promoted flows; epochs must
-        # not be aimed at a wire with nowhere to land.
+        # Only KOPI hosts land fluid RX; epochs must not be aimed at a
+        # wire with nowhere to land.
         return False
     return switch.ff_path_steady(peer.mac, peer.port)
 
 
 class RackHost:
-    """One machine's registration with the rack coordinator: which planes
-    it promotes on, where it sits on the switch, and the links that carry
-    its traffic."""
+    """One machine's registration with the rack coordinator: the plane
+    its TX promotions come from, where it sits on the switch, and the
+    links that carry its traffic."""
 
-    __slots__ = ("name", "machine", "ctrl", "rx_plane", "tx_plane",
+    __slots__ = ("name", "machine", "ctrl", "tx_plane",
                  "ip", "mac", "port", "uplink", "downlink")
 
-    def __init__(self, name, machine, rx_plane, tx_plane,
+    def __init__(self, name, machine, tx_plane,
                  ip, mac, port, uplink, downlink):
         self.name = name
         self.machine = machine
         self.ctrl = machine.ff
-        self.rx_plane = rx_plane
         self.tx_plane = tx_plane
         self.ip = ip
         self.mac = mac
@@ -681,13 +679,13 @@ class RackFastForward:
 
     # -- registration ------------------------------------------------------
 
-    def add_host(self, name, machine, rx_plane, tx_plane,
+    def add_host(self, name, machine, tx_plane,
                  ip, mac, port, uplink, downlink) -> RackHost:
         if machine.ff is None:
             raise SimulationError(
                 f"rack host {name!r} has no FastForwardController "
                 "(CostModel.fast_forward is off)")
-        host = RackHost(name, machine, rx_plane, tx_plane,
+        host = RackHost(name, machine, tx_plane,
                         ip, mac, port, uplink, downlink)
         self._hosts.append(host)
         self._host_by_ip[ip] = host

@@ -24,7 +24,8 @@ from repro.dataplanes import (
 )
 from repro.dataplanes.testbed import PEER_IP
 from repro.experiments.common import planes_under_test, run_bulk_tx, run_burst_tx
-from repro.sim import Histogram
+from repro.net.headers import PROTO_UDP
+from repro.sim import Histogram, SimProcess
 
 N_MSGS = 12
 PAYLOAD = 600
@@ -171,6 +172,40 @@ class TestAmortization:
         one = run_burst_tx(KernelPathDataplane, 1_458, 64, 1)
         big = run_burst_tx(KernelPathDataplane, 1_458, 64, 16)
         assert big["movements"]["virtual"] < one["movements"]["virtual"]
+
+
+class TestBurstRx:
+    """NAPI-style RX: the NIC coalesces ``batch_size`` packets per burst,
+    the interrupt-coalescing timer flushes the remainder, and the plane's
+    burst handler delivers exactly what per-packet RX delivers."""
+
+    N_RX = 10
+
+    def _receive(self, plane_cls, batch):
+        tb = Testbed(plane_cls, costs=replace(DEFAULT_COSTS, batch_size=batch))
+        proc = tb.spawn("rx", "bob", core_id=1)
+        ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, 7_000)
+        for i in range(self.N_RX):
+            tb.sim.after(200 * (i + 1), tb.peer.send_udp, 555, 7_000, 100 + i)
+        tb.run_all()
+        msgs = []
+
+        def reader():
+            msgs.extend((yield ep.recv_burst(64, blocking=False)))
+
+        SimProcess(tb.sim, reader(), name="reader")
+        tb.run_all()
+        return msgs, tb.dataplane.nic.stats()
+
+    @pytest.mark.parametrize("plane_cls", [KernelPathDataplane, SidecarDataplane],
+                             ids=lambda c: c.name)
+    def test_burst_rx_delivers_like_per_packet(self, plane_cls):
+        per_packet, _ = self._receive(plane_cls, 1)
+        burst, stats = self._receive(plane_cls, 4)
+        assert len(per_packet) == self.N_RX
+        assert burst == per_packet
+        # Two full bursts of four, then the timer flushes the last two.
+        assert stats["nic0.rx_bursts"] == 3
 
 
 class TestBoundedHistogram:

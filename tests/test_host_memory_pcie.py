@@ -1,4 +1,4 @@
-"""Memory pinning, DMA engine, coherence fabric, Machine facade."""
+"""Memory pinning, DMA MMIO costs, coherence fabric, Machine facade."""
 
 import pytest
 
@@ -56,47 +56,6 @@ class TestMemorySystem:
 
 
 class TestDmaEngine:
-    def test_write_latency_includes_fixed_and_serialization(self):
-        m = Machine(n_cores=1)
-        region = m.memory.alloc_pinned(4_096, owner="nic")
-        done_at = []
-        m.dma.dma_write(region, 4_096).add_callback(lambda s: done_at.append(m.now))
-        m.sim.run()
-        expected = DEFAULT_COSTS.pcie_dma_latency_ns + units.transmit_time_ns(
-            4_096, DEFAULT_COSTS.pcie_bandwidth_bps
-        )
-        assert done_at == [expected]
-
-    def test_transfers_share_link_bandwidth(self):
-        m = Machine(n_cores=1)
-        region = m.memory.alloc_pinned(8_192, owner="nic")
-        ends = []
-        m.dma.dma_write(region, 4_096).add_callback(lambda s: ends.append(m.now))
-        m.dma.dma_write(region, 4_096, offset=4_096).add_callback(
-            lambda s: ends.append(m.now)
-        )
-        m.sim.run()
-        ser = units.transmit_time_ns(4_096, DEFAULT_COSTS.pcie_bandwidth_bps)
-        lat = DEFAULT_COSTS.pcie_dma_latency_ns
-        assert ends == [ser + lat, 2 * ser + lat]
-
-    def test_structural_cache_sees_dma_lines(self):
-        m = Machine(n_cores=1, structural_cache=True)
-        region = m.memory.alloc_pinned(256, owner="nic")
-        m.dma.dma_write(region, 256)
-        m.sim.run()
-        assert m.llc is not None
-        assert m.llc.stats["dma_fills"] == 4
-        assert all(m.llc.cpu_read(a) for a in region.line_addrs())
-
-    def test_out_of_bounds_dma_rejected(self):
-        m = Machine(n_cores=1)
-        region = m.memory.alloc_pinned(64, owner="nic")
-        with pytest.raises(SimulationError):
-            m.dma.dma_write(region, 128)
-        with pytest.raises(SimulationError):
-            m.dma.dma_read(region, 0)
-
     def test_mmio_costs(self):
         m = Machine(n_cores=1)
         assert m.dma.mmio_write_cost() == DEFAULT_COSTS.mmio_write_ns
@@ -127,10 +86,6 @@ class TestMachine:
         m = Machine()
         assert m.llc is None
         assert m.ddio_model.hit_rate(1) == 1.0
-
-    def test_structural_machine_wires_cache_into_dma(self):
-        m = Machine(structural_cache=True)
-        assert m.dma.llc is m.llc
 
     def test_shared_simulator(self):
         sim = Simulator()

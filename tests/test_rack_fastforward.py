@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.config import DEFAULT_COSTS
 from repro.core.norman import NormanOS
+from repro.dataplanes import KernelPathDataplane
 from repro.dataplanes.multihost import (
     HOST_A_IP,
     HOST_A_MAC,
@@ -48,8 +49,8 @@ def _costs(**over):
     return DEFAULT_COSTS.replace(**base)
 
 
-def _rack_pair(costs=None, n_conns=1):
-    tb = TwoHostTestbed(NormanOS, NormanOS, costs=costs or _costs(),
+def _rack_pair(costs=None, n_conns=1, plane_b=NormanOS):
+    tb = TwoHostTestbed(NormanOS, plane_b, costs=costs or _costs(),
                         n_cores=2)
     pa = tb.host_a.spawn("cli", "bob", core_id=1)
     pb = tb.host_b.spawn("srv", "carol", core_id=1)
@@ -66,12 +67,12 @@ def _rack_pair(costs=None, n_conns=1):
     return tb, eps_a, eps_b
 
 
-def _send(tb, eps_a, rounds=1):
+def _send(tb, eps_a, rounds=1, payload=PAYLOAD):
     """Spaced single sends on every A endpoint; each TX chain completes
     before the next send (the steady state the profile captures)."""
     for _ in range(rounds):
         for i, ep in enumerate(eps_a):
-            tb.sim.at(tb.sim.now + 1_000, ep.send, PAYLOAD,
+            tb.sim.at(tb.sim.now + 1_000, ep.send, payload,
                       (HOST_B_IP, B_PORT + i))
             tb.run_all()
 
@@ -138,6 +139,21 @@ class TestEndToEndBinding:
         _send(tb, [ep_a], rounds=5)
         assert tb.rack.bound == 0
         assert tb.rack.stats()["gate_vetoes"] >= 1
+
+
+class TestMixedRack:
+    def test_kopi_sender_to_kernel_host_stays_exact(self):
+        """Only KOPI promotes: a kernel receiver never goes fluid, so the
+        gate vetoes every TX promotion toward it and nothing binds."""
+        tb, eps_a, eps_b = _rack_pair(plane_b=KernelPathDataplane)
+        _send(tb, eps_a, rounds=64, payload=100)
+        assert _drain(tb, eps_b) == 64
+        assert tb.host_a.machine.ff.promotions == 0
+        assert tb.host_b.machine.ff.promotions == 0
+        stats = tb.rack.stats()
+        assert stats["bindings"] == 0
+        assert stats["gate_vetoes"] > 0
+        assert not tb.host_b.downlink.has_fluid_rx
 
 
 def _assert_demoted_end_to_end(tb, eps_a, eps_b, boundary, sends=4):

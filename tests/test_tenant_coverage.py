@@ -24,7 +24,6 @@ SCOPE = (
     "core/nic_dataplane.py",
     "core/control_plane.py",
     "core/conntrack.py",
-    "host/pcie.py",
     "nic/base.py",
     "nic/fixed_function.py",
     "nic/rings.py",
@@ -69,7 +68,7 @@ def test_scan_finds_the_known_charging_sites():
     assert len(sites) >= 12, [f"{r}:{n}" for r, n, _l, _w in sites]
     files = {r for r, _n, _l, _w in sites}
     for expected in ("core/nic_dataplane.py", "core/control_plane.py",
-                     "core/conntrack.py", "host/pcie.py"):
+                     "core/conntrack.py"):
         assert expected in files, expected
 
 

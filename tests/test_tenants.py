@@ -149,12 +149,6 @@ class TestTenantKnobValidation:
         with pytest.raises(ConfigError):
             DEFAULT_COSTS.replace(tenant_isolation=True)
 
-    def test_sched_flavour_is_validated(self):
-        with pytest.raises(ConfigError):
-            DEFAULT_COSTS.replace(tenants=True, tenant_sched="fifo")
-        for flavour in ("drr", "wfq"):
-            DEFAULT_COSTS.replace(tenants=True, tenant_sched=flavour)
-
     def test_quantum_and_default_weight_bounds(self):
         with pytest.raises(ConfigError):
             DEFAULT_COSTS.replace(tenant_quantum_bytes=0)
