@@ -248,10 +248,12 @@ class ControlPlane:
         return RingPair(
             conn_id,
             rx=DescriptorRing(
-                self.costs.rx_ring_entries * entries_scale, rx_region, f"{owner_tag}.rx"
+                self.costs.rx_ring_entries * entries_scale, rx_region, f"{owner_tag}.rx",
+                line_bytes=line,
             ),
             tx=DescriptorRing(
-                self.costs.tx_ring_entries * entries_scale, tx_region, f"{owner_tag}.tx"
+                self.costs.tx_ring_entries * entries_scale, tx_region, f"{owner_tag}.tx",
+                line_bytes=line,
             ),
         )
 

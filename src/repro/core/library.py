@@ -228,15 +228,17 @@ class NormanEndpoint(Endpoint):
         return msgs
 
     def _read_cost(self, pkt: Packet) -> int:
-        lines = pkt.meta.notes.get("lines")
+        runs = pkt.meta.notes.get("lines")
         machine = self._os.machine
-        if machine.llc is not None and lines:
+        llc = machine.llc
+        if llc is not None and runs:
             costs = self._costs
             total = 0
-            for addr in lines:
-                total += costs.llc_hit_ns if machine.llc.cpu_read(addr) else costs.dram_ns
+            for addr, n in runs:
+                hits = llc.cpu_read(addr, n)
+                total += hits * costs.llc_hit_ns + (n - hits) * costs.dram_ns
             return total
-        n_lines = len(lines) if lines else 2
+        n_lines = sum(n for _addr, n in runs) if runs else 2
         return machine.ddio_model.read_cost_ns(
             self._os.control.active_hot_bytes(), n_lines
         )

@@ -28,6 +28,7 @@ from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc, PfifoQdisc, Qdisc
 from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.link import Link
 from ..net.packet import Packet
+from ..nic.notification import KIND_RX_READY
 from ..nic.smartnic.fpga import Bitstream, FpgaFabric
 from ..nic.smartnic.sram import SramAllocator
 from ..nic.tenant_sched import WeightedFairClock
@@ -335,16 +336,11 @@ class KopiNic:
             fp_entry.ct_entry = entry
 
     def _deliver_to_ring(self, pkt: Packet, conn: NormanConnection) -> None:
-        lines = self._lines_for(pkt)
         ring = conn.rings.rx
-        capped = min(lines, len(ring.region.line_addrs()))
-        addrs = ring.next_lines(capped)
-        llc = self.machine.llc
-        if llc is not None:
-            for addr in addrs:
-                llc.dma_write(addr)
-        pkt.meta.notes["lines"] = addrs
         was_empty = ring.is_empty
+        # A full ring has no free descriptor: the frame is dropped before
+        # any buffer is written, so a drop touches neither the LLC nor the
+        # ring's line cursor.
         if not ring.try_post(pkt):
             self.metrics.counter("rx_ring_drops").inc()
             ff = self.machine.ff
@@ -359,6 +355,14 @@ class KopiNic:
             return
         # KOPI delivery is DMA-direct: lines land in the app-readable ring
         # (through DDIO when the structural LLC is wired); no CPU copy ever.
+        # tenant: the lines are the connection's own ring; the RX pipeline
+        # pass already stamped its owner on pkt.meta.tenant_tid.
+        runs = ring.next_runs(self._lines_for(pkt))
+        llc = self.machine.llc
+        if llc is not None:
+            for addr, n in runs:
+                llc.dma_write(addr, n)
+        pkt.meta.notes["lines"] = runs
         self.machine.copies.charge(LAYER_DMA_DIRECT, pkt.wire_len, 0)
         conn.rx_packets += 1
         if conn.notify_rx and self.notify is not None:
@@ -368,8 +372,6 @@ class KopiNic:
                 # on the same wake, so no second notification is raised.
                 self.metrics.counter("rx_notify_coalesced").inc()
                 return
-            from ..nic.notification import KIND_RX_READY
-
             self.notify(conn, KIND_RX_READY)
 
     # --- TX path -------------------------------------------------------------------

@@ -274,8 +274,7 @@ class NormanOS(Dataplane):
         payload_len = pkt.payload_len
         # Same line count the delivery path will stamp on the packet
         # (pkt.meta.notes["lines"] is not attached yet on the RX hot path).
-        n_lines = min(
-            self.nic._lines_for(pkt), len(conn.rings.rx.region.line_addrs()))
+        n_lines = min(self.nic._lines_for(pkt), conn.rings.rx.line_count)
         read_ns = machine.ddio_model.read_cost_ns(
             self.control.active_hot_bytes(), n_lines)
         spans = (

@@ -19,8 +19,7 @@ Two models of the same mechanism live here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..config import CostModel
 from ..errors import ConfigError
@@ -33,8 +32,14 @@ class WayPartitionedCache:
     """Set-associative LRU cache with a per-set cap on DMA-owned lines.
 
     Addresses are byte addresses; lines are ``line_bytes`` wide; the set
-    index is the usual ``(addr // line) % sets``. Each set is an ordered map
-    ``tag -> owner`` in LRU order (oldest first).
+    index is the usual ``(addr // line) % sets``. Each set is a plain dict
+    ``tag -> owner`` in LRU order (oldest first); a dict holding only ints
+    and strings is never tracked by the cyclic garbage collector, so the
+    tens of thousands of sets cost a full collection nothing. Two per-set
+    side tables keep the hot path O(1): the count of DDIO-owned lines (the
+    DDIO cap check) and the newest tag (a hit on the newest line needs no
+    re-insertion, which is the common case: a DMA write or a read of the
+    line just written).
     """
 
     def __init__(
@@ -61,7 +66,9 @@ class WayPartitionedCache:
         already owns the CPU ways of the LLC: DMA-delivered ring data then
         survives in cache only inside the DDIO slice, which is the regime
         the paper's §5 scaling cliff lives in. E8 runs in this mode."""
-        self._lines: List["OrderedDict[int, str]"] = [OrderedDict() for _ in range(sets)]
+        self._lines: List[Dict[int, str]] = [{} for _ in range(sets)]
+        self._ddio: List[int] = [0] * sets  # DDIO-owned lines per set
+        self._newest: List[Optional[int]] = [None] * sets  # MRU tag per set
         self.stats: Dict[str, int] = {
             "cpu_hits": 0,
             "cpu_misses": 0,
@@ -90,60 +97,92 @@ class WayPartitionedCache:
     def ddio_capacity_bytes(self) -> int:
         return self.sets * self.ddio_ways * self.line_bytes
 
-    def _locate(self, addr: int) -> "tuple[OrderedDict, int]":
-        line = addr // self.line_bytes
-        return self._lines[line % self.sets], line
-
     # --- operations ---------------------------------------------------------
 
-    def dma_write(self, addr: int) -> bool:
-        """NIC DMA writes one line. Returns True on LLC hit (line updated in
-        place), False when a DDIO allocation (possibly evicting) happened —
-        or when DDIO is disabled entirely (``ddio_ways == 0``), in which
-        case the write goes straight to DRAM and nothing is installed."""
-        lru, tag = self._locate(addr)
-        if tag in lru:
-            # Write-update: line stays with its current owner, becomes MRU.
-            lru.move_to_end(tag)
-            self.stats["dma_hits"] += 1
-            return True
-        self.stats["dma_fills"] += 1
-        if self.ddio_ways == 0:
-            return False
-        ddio_count = sum(1 for owner in lru.values() if owner == DDIO_OWNER)
-        if ddio_count >= self.ddio_ways:
-            self._evict_oldest(lru, DDIO_OWNER)
-        elif len(lru) >= self.ways:
-            self._evict_oldest(lru, None)
-        lru[tag] = DDIO_OWNER
-        return False
+    def dma_write(self, addr: int, lines: int = 1) -> int:
+        """NIC DMA writes ``lines`` consecutive lines, starting at ``addr``'s
+        line, in order. Returns how many hit: a hit is updated in place
+        (keeps its owner, becomes MRU). A miss is a DDIO allocation
+        (possibly evicting) — or, when DDIO is disabled entirely
+        (``ddio_ways == 0``), a write straight to DRAM that installs
+        nothing."""
+        tag = addr // self.line_bytes
+        end = tag + lines
+        hits = 0
+        while tag < end:
+            i = tag % self.sets
+            lru = self._lines[i]
+            if tag in lru:
+                if self._newest[i] != tag:
+                    lru[tag] = lru.pop(tag)
+                    self._newest[i] = tag
+                hits += 1
+            elif self.ddio_ways:
+                if self._ddio[i] < self.ddio_ways:
+                    if len(lru) >= self.ways:
+                        self._evict(lru, i, None)
+                    self._ddio[i] += 1
+                else:
+                    # At the DDIO cap the fill replaces a DDIO line, so the
+                    # set's DDIO count stays. The victim is the set's oldest
+                    # line whenever that one is DDIO-owned (always, when CPU
+                    # reads do not allocate).
+                    oldest = next(iter(lru))
+                    if lru[oldest] == DDIO_OWNER:
+                        del lru[oldest]
+                        self.stats["ddio_evictions"] += 1
+                    else:
+                        self._evict(lru, i, DDIO_OWNER)
+                        self._ddio[i] += 1
+                lru[tag] = DDIO_OWNER
+                self._newest[i] = tag
+            tag += 1
+        if hits:
+            self.stats["dma_hits"] += hits
+        if lines > hits:
+            self.stats["dma_fills"] += lines - hits
+        return hits
 
-    def cpu_read(self, addr: int) -> bool:
-        """CPU reads one line. Returns True on hit, False on DRAM miss."""
-        lru, tag = self._locate(addr)
-        if tag in lru:
-            lru.move_to_end(tag)
-            self.stats["cpu_hits"] += 1
-            return True
-        self.stats["cpu_misses"] += 1
-        if self.cpu_fills_allocate:
-            if len(lru) >= self.ways:
-                self._evict_oldest(lru, None)
-            lru[tag] = CPU_OWNER
-        return False
+    def cpu_read(self, addr: int, lines: int = 1) -> int:
+        """CPU reads ``lines`` consecutive lines, starting at ``addr``'s
+        line, in order. Returns how many hit; the rest miss to DRAM."""
+        tag = addr // self.line_bytes
+        end = tag + lines
+        hits = 0
+        while tag < end:
+            i = tag % self.sets
+            lru = self._lines[i]
+            if tag in lru:
+                if self._newest[i] != tag:
+                    lru[tag] = lru.pop(tag)
+                    self._newest[i] = tag
+                hits += 1
+            elif self.cpu_fills_allocate:
+                if len(lru) >= self.ways:
+                    self._evict(lru, i, None)
+                lru[tag] = CPU_OWNER
+                self._newest[i] = tag
+            tag += 1
+        if hits:
+            self.stats["cpu_hits"] += hits
+        if lines > hits:
+            self.stats["cpu_misses"] += lines - hits
+        return hits
 
-    def _evict_oldest(self, lru: "OrderedDict[int, str]", owner_filter: "str | None") -> None:
+    def _evict(self, lru: Dict[int, str], i: int, owner_filter: "str | None") -> None:
+        """Evict set ``i``'s oldest line owned by ``owner_filter`` (any
+        owner when None)."""
         for tag, owner in lru.items():
             if owner_filter is None or owner == owner_filter:
-                del lru[tag]
-                key = "ddio_evictions" if owner == DDIO_OWNER else "cpu_evictions"
-                self.stats[key] += 1
-                return
-        # No line of the requested owner exists; fall back to global LRU.
-        tag = next(iter(lru))
-        owner = lru.pop(tag)
-        key = "ddio_evictions" if owner == DDIO_OWNER else "cpu_evictions"
-        self.stats[key] += 1
+                break
+        else:
+            # No line of the requested owner exists; fall back to global LRU.
+            tag = next(iter(lru))
+        if lru.pop(tag) == DDIO_OWNER:
+            self._ddio[i] -= 1
+            self.stats["ddio_evictions"] += 1
+        else:
+            self.stats["cpu_evictions"] += 1
 
     # --- reporting ------------------------------------------------------------
 

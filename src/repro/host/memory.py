@@ -29,11 +29,6 @@ class PinnedRegion:
     def end(self) -> int:
         return self.base + self.size
 
-    def line_addrs(self, line_bytes: int = units.CACHE_LINE) -> List[int]:
-        """Byte address of each cache line the region spans."""
-        first = self.base - (self.base % line_bytes)
-        return list(range(first, self.end, line_bytes))
-
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Iterable, List, Optional
 
+from .. import units
 from ..errors import RingEmpty, RingFull
 from ..host.memory import PinnedRegion
 from ..sim import MetricSet
@@ -22,9 +23,12 @@ class DescriptorRing:
     The stored items are simulation objects (packets / message tuples); the
     region exists so the cache model sees real line addresses, and so pinned
     memory accounting reflects §5's per-connection footprint concern.
+    ``line_bytes`` is the cache-line size transfers step through the region
+    in; it must match the LLC the lines are written to.
     """
 
-    def __init__(self, entries: int, region: PinnedRegion, name: str = "ring"):
+    def __init__(self, entries: int, region: PinnedRegion, name: str = "ring",
+                 line_bytes: int = units.CACHE_LINE):
         if entries < 1:
             raise RingFull(f"ring must have at least 1 entry, got {entries}")
         self.entries = entries
@@ -34,6 +38,9 @@ class DescriptorRing:
         self.head = 0  # producer index (total produced)
         self.tail = 0  # consumer index (total consumed)
         self.metrics = MetricSet(name)
+        self.line_bytes = line_bytes
+        self.first_line_addr = region.base - region.base % line_bytes
+        self.line_count = -(-(region.end - self.first_line_addr) // line_bytes)
         self._cursor = 0  # round-robin cursor over the region's lines
 
     @property
@@ -123,16 +130,23 @@ class DescriptorRing:
             self.metrics.counter("burst_consumes").inc()
         return out
 
-    def next_lines(self, count: int) -> "list[int]":
-        """The next ``count`` cache-line addresses a transfer will touch,
+    def next_runs(self, count: int) -> "list[tuple[int, int]]":
+        """The runs of consecutive cache lines, as ``(first address, line
+        count)``, that the next transfer of ``count`` lines touches,
         advancing round-robin through the backing region (how a real ring
-        cycles through its buffers)."""
-        lines = self.region.line_addrs()
-        out = []
-        for _ in range(count):
-            out.append(lines[self._cursor % len(lines)])
-            self._cursor += 1
-        return out
+        cycles through its buffers). A transfer is capped at the region's
+        line count; one that reaches the region's end wraps to a second
+        run at its start."""
+        total = self.line_count
+        if count > total:
+            count = total
+        start = self._cursor % total
+        self._cursor += count
+        addr = self.first_line_addr + start * self.line_bytes
+        head = total - start
+        if count <= head:
+            return [(addr, count)]
+        return [(addr, head), (self.first_line_addr, count - head)]
 
 
 class RingPair:

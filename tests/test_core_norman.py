@@ -67,6 +67,37 @@ class TestDataplanePath:
         assert ep.conn.rings.rx.occupancy == 1
         assert ep.conn.rx_packets == 1
 
+    def test_ring_lines_step_in_machine_line_size(self):
+        """A 1,458 B UDP payload is (1,500 + 16) B = 12 lines of 128 B; the
+        RX region holds 64 such lines, so every line is a distinct fill."""
+        costs = DEFAULT_COSTS.replace(cache_line_bytes=128)
+        tb = kopi_testbed(costs=costs, structural_cache=True)
+        a = tb.spawn("a", "bob", core_id=1)
+        ep = tb.dataplane.open_endpoint(a, PROTO_UDP, 7000)
+        tb.peer.send_udp(555, 7000, 1_458)
+        tb.run_all()
+        assert ep.conn.rings.rx.line_count == 64
+        stats = tb.machine.llc.stats
+        assert (stats["dma_fills"], stats["dma_hits"]) == (12, 0)
+
+    def test_tail_dropped_packet_writes_no_lines(self):
+        """A full RX ring drops the frame before any DMA: only the 4 posted
+        MTU packets (24 lines each) reach the LLC and move the line cursor."""
+        costs = DEFAULT_COSTS.replace(rx_ring_entries=4)
+        tb = kopi_testbed(costs=costs, structural_cache=True)
+        a = tb.spawn("a", "bob", core_id=1)
+        ep = tb.dataplane.open_endpoint(a, PROTO_UDP, 7000)
+        for _ in range(10):
+            tb.peer.send_udp(555, 7000, 1_458)
+        tb.run_all()
+        ring = ep.conn.rings.rx
+        assert ring.occupancy == 4
+        assert tb.dataplane.nic.metrics.counter("rx_ring_drops").value == 6
+        stats = tb.machine.llc.stats
+        assert stats["dma_fills"] + stats["dma_hits"] == 4 * 24
+        # The cursor stopped at line 96, i.e. line 32 of the 64-line region.
+        assert ring.next_runs(1) == [(ring.first_line_addr + 32 * ring.line_bytes, 1)]
+
     def test_unmatched_rx_goes_to_software_fallback(self):
         tb = kopi_testbed()
         tb.peer.send_udp(555, 4444, 100)  # no connection on 4444

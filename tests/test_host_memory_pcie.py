@@ -41,13 +41,6 @@ class TestMemorySystem:
         with pytest.raises(SimulationError):
             mem.free(r)
 
-    def test_line_addrs_cover_region(self):
-        mem = MemorySystem(total_bytes=1 * units.MB)
-        r = mem.alloc_pinned(200, owner="x")
-        lines = r.line_addrs()
-        assert len(lines) == 4  # 256 bytes -> 4 lines
-        assert all(a % 64 == 0 for a in lines)
-
     def test_contains(self):
         mem = MemorySystem(total_bytes=1 * units.MB)
         r = mem.alloc_pinned(64, owner="x")

@@ -63,12 +63,13 @@ class TestDescriptorRing:
         r.consume()
         assert r.post("c") == 0
 
-    def test_next_lines_cycle_through_region(self):
+    def test_next_runs_cycle_through_region(self):
         r = ring(entries=4, size=256)  # 4 cache lines
-        first = r.next_lines(4)
-        again = r.next_lines(4)
+        first = r.next_runs(4)
+        again = r.next_runs(4)
         assert first == again  # wrapped around
-        assert len(set(first)) == 4
+        lines = {addr + i * r.line_bytes for addr, n in first for i in range(n)}
+        assert len(lines) == 4
 
     def test_ring_pair_pinned_accounting(self):
         mem = MemorySystem(total_bytes=1 * units.MB)

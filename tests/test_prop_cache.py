@@ -24,6 +24,21 @@ def geometry():
     )
 
 
+@st.composite
+def range_trace(draw):
+    """A geometry, a CPU fill policy, and a trace of range ops
+    ``(is_dma, byte address, n_lines)``. A run may be longer than the set
+    count, so it can revisit a set within one call."""
+    sets, ways, ddio_ways = draw(geometry())
+    allocate = draw(st.booleans())
+    ops = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, 255 * LINE),
+                  st.integers(0, 2 * sets + 1)),
+        min_size=1, max_size=60,
+    ))
+    return (sets, ways, ddio_ways, allocate), ops
+
+
 class TestStructuralInvariants:
     @given(geom=geometry(), ops=ops_strategy())
     @settings(max_examples=200)
@@ -36,10 +51,12 @@ class TestStructuralInvariants:
                 cache.dma_write(addr)
             else:
                 cache.cpu_read(addr)
-            for s in cache._lines:
+            for i, s in enumerate(cache._lines):
                 assert len(s) <= ways
                 ddio_count = sum(1 for o in s.values() if o == DDIO_OWNER)
                 assert ddio_count <= ddio_ways
+                assert cache._ddio[i] == ddio_count
+                assert cache._newest[i] == (next(reversed(s)) if s else None)
         assert cache.resident_lines() <= sets * ways
 
     @given(geom=geometry(), ops=ops_strategy())
@@ -69,7 +86,7 @@ class TestStructuralInvariants:
             addr = idx * LINE
             if is_dma:
                 cache.dma_write(addr)
-                assert cache.cpu_read(addr) is True  # DDIO made it resident
+                assert cache.cpu_read(addr) == 1  # DDIO made it resident
             else:
                 cache.cpu_read(addr)
 
@@ -103,3 +120,28 @@ class TestStructuralInvariants:
             for a in addrs:
                 cache.cpu_read(a)
         assert cache.cpu_miss_rate() == 0.0
+
+
+class TestRangeOps:
+    @given(trace=range_trace())
+    @settings(max_examples=200)
+    def test_range_call_equals_single_line_calls(self, trace):
+        """One call over ``n`` lines leaves the cache exactly as ``n``
+        single-line calls on consecutive lines do, and counts the same hits."""
+        (sets, ways, ddio_ways, allocate), ops = trace
+        ranged, single = (
+            WayPartitionedCache(sets=sets, ways=ways, ddio_ways=ddio_ways,
+                                line_bytes=LINE, cpu_fills_allocate=allocate)
+            for _ in range(2)
+        )
+        for is_dma, addr, n in ops:
+            if is_dma:
+                got = ranged.dma_write(addr, n)
+                want = sum(single.dma_write(addr + k * LINE) for k in range(n))
+            else:
+                got = ranged.cpu_read(addr, n)
+                want = sum(single.cpu_read(addr + k * LINE) for k in range(n))
+            assert got == want
+            assert ranged.stats == single.stats
+            assert ([list(s.items()) for s in ranged._lines]
+                    == [list(s.items()) for s in single._lines])
