@@ -17,7 +17,7 @@ from ..net.headers import PROTO_TCP
 from ..net.packet import Packet, make_tcp, make_udp
 from ..sim import Signal
 from ..trace import STAGE_COHERENCE, STAGE_DMA, STAGE_RING, charge
-from ..dataplanes.base import Endpoint, _as_bool, _as_first
+from ..dataplanes.base import Endpoint, _as_bool
 from .connection import NormanConnection
 
 Message = Tuple[int, IPv4Address, int]
@@ -50,9 +50,6 @@ class NormanEndpoint(Endpoint):
         super().close()
 
     # --- TX ------------------------------------------------------------------
-
-    def send(self, payload_len: int, dst: Optional[Tuple[IPv4Address, int]] = None) -> Signal:
-        return _as_bool(self.send_burst((payload_len,), dst), "norman.send")
 
     def send_burst(
         self, payload_lens: Sequence[int], dst: Optional[Tuple[IPv4Address, int]] = None
@@ -142,18 +139,14 @@ class NormanEndpoint(Endpoint):
 
     # --- RX -----------------------------------------------------------------------
 
-    def recv(self, blocking: bool = True) -> Signal:
-        """Consume one message from the RX ring: the degenerate burst of one.
+    def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
+        """Drain up to ``max_msgs`` ring entries under one library call:
+        one wakeup, one CPU dispatch, per-packet memory-read costs.
 
         The read cost is honest about the memory hierarchy: freshly
         DMA-written lines are cheap while the active working set fits DDIO
         and DRAM-expensive once it does not — the E8 mechanism.
         """
-        return _as_first(self.recv_burst(1, blocking=blocking), "norman.recv")
-
-    def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
-        """Drain up to ``max_msgs`` ring entries under one library call:
-        one wakeup, one CPU dispatch, per-packet memory-read costs."""
         if self.conn.fallback:
             return self._os.kernel.netstack.recvmmsg(
                 self.proc, self.conn.sock, max_msgs, blocking=blocking

@@ -560,7 +560,7 @@ class KopiNic:
             units.transmit_time_ns(total_wire, self.costs.pcie_bandwidth_bps),
             ops=len(pkts),
         )
-        self.sim.after_burst(latency, self._tx_effects_item, items)
+        self.sim.after(latency, self._tx_effects_burst, items)
 
         if not conn.rings.tx.is_empty:
             gap = units.transmit_time_ns(total_wire, self.costs.pcie_bandwidth_bps)
@@ -578,9 +578,9 @@ class KopiNic:
                 # drained — the amortization the Notification.count records.
                 self.notify(conn, KIND_TX_DRAINED, drained)
 
-    def _tx_effects_item(self, item) -> None:
-        pkt, conn, verdict, sched_class, fp_entry, fp_hit = item
-        self._tx_effects(pkt, conn, verdict, sched_class, fp_entry, fp_hit)
+    def _tx_effects_burst(self, items) -> None:
+        for item in items:
+            self._tx_effects(*item)
 
     def _tx_effects(
         self,

@@ -119,14 +119,15 @@ class Endpoint:
         raise NotImplementedError
 
     def send(self, payload_len: int, dst: Optional[Tuple[IPv4Address, int]] = None) -> Signal:
-        """Send one message; resolves True when handed to the wire layer,
-        False when dropped by policy or backpressure."""
-        raise NotImplementedError
+        """Send one message, as a burst of one; resolves True when handed
+        to the wire layer, False when dropped by policy or backpressure."""
+        return _as_bool(self.send_burst((payload_len,), dst), "endpoint.send")
 
     def recv(self, blocking: bool = True) -> Signal:
-        """Receive one :data:`Message`. Blocking semantics (sleep vs poll)
-        are the dataplane's — that difference is experiment E6."""
-        raise NotImplementedError
+        """Receive one :data:`Message`, as a burst of one. Blocking
+        semantics (sleep vs poll) are the dataplane's — that difference is
+        experiment E6."""
+        return _as_first(self.recv_burst(1, blocking=blocking), "endpoint.recv")
 
     # --- burst interface ---------------------------------------------------
     #

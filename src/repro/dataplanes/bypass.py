@@ -38,7 +38,7 @@ from ..trace import (
     STAGE_SCHED_WAKE,
     charge,
 )
-from .base import Dataplane, Endpoint, _as_bool, _as_first
+from .base import Dataplane, Endpoint, _as_bool
 
 
 class BypassEndpoint(Endpoint):
@@ -74,10 +74,6 @@ class BypassEndpoint(Endpoint):
         done = Signal("bypass.connect")
         self._dp.machine.sim.after(0, done.succeed, True)
         return done
-
-    def send(self, payload_len: int, dst: Optional[Tuple[IPv4Address, int]] = None) -> Signal:
-        """Per-packet send: the degenerate burst of one."""
-        return _as_bool(self.send_burst((payload_len,), dst), "bypass.send")
 
     def send_raw(self, pkt: Packet) -> Signal:
         """Raw injection — bypass apps can put anything on the wire, which
@@ -126,15 +122,11 @@ class BypassEndpoint(Endpoint):
         self._core.execute(cost, "bypass_tx", ctx=lead_ctx).add_callback(_done)
         return result
 
-    def recv(self, blocking: bool = True) -> Signal:
-        """Poll the RX ring for one message: the degenerate burst of one.
-        ``blocking=True`` here means *spin until data*: the core stays 100%
-        busy — there is nothing to sleep on."""
-        return _as_first(self.recv_burst(1, blocking=blocking), "bypass.recv")
-
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
         """Drain up to ``max_msgs`` descriptors in one poll: one descriptor-
-        batch read, per-packet header processing."""
+        batch read, per-packet header processing. ``blocking=True`` here
+        means *spin until data*: the core stays 100% busy — there is
+        nothing to sleep on."""
         result = Signal("bypass.recv_burst")
 
         def _attempt(_sig: Optional[Signal] = None) -> None:

@@ -43,7 +43,6 @@ from .base import (
     PacketFilter,
     QosConfig,
     _as_bool,
-    _as_first,
 )
 from .bypass import _message_of
 
@@ -68,9 +67,6 @@ class HypervisorEndpoint(Endpoint):
         done = Signal("hv.connect")
         self._dp.machine.sim.after(0, done.succeed, True)
         return done
-
-    def send(self, payload_len: int, dst: Optional[Tuple[IPv4Address, int]] = None) -> Signal:
-        return _as_bool(self.send_burst((payload_len,), dst), "hv.send")
 
     def send_raw(self, pkt: Packet) -> Signal:
         return _as_bool(self._send_raw_burst((pkt,)), "hv.send")
@@ -114,9 +110,6 @@ class HypervisorEndpoint(Endpoint):
 
         self._core.execute(cost, "hv_tx", ctx=lead_ctx).add_callback(_done)
         return result
-
-    def recv(self, blocking: bool = True) -> Signal:
-        return _as_first(self.recv_burst(1, blocking=blocking), "hv.recv")
 
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
         result = Signal("hv.recv_burst")

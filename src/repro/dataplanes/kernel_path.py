@@ -28,8 +28,6 @@ from .base import (
     Endpoint,
     PacketFilter,
     QosConfig,
-    _as_bool,
-    _as_first,
     describe_qos,
 )
 
@@ -48,9 +46,6 @@ class KernelEndpoint(Endpoint):
     def connect(self, dst_ip: IPv4Address, dport: int) -> Signal:
         return self._dp.kernel.netstack.connect(self.proc, self.sock, dst_ip, dport)
 
-    def send(self, payload_len: int, dst: Optional[Tuple[IPv4Address, int]] = None) -> Signal:
-        return _as_bool(self.send_burst((payload_len,), dst), "kernel.send")
-
     def send_burst(
         self, payload_lens: Sequence[int], dst: Optional[Tuple[IPv4Address, int]] = None
     ) -> Signal:
@@ -62,9 +57,6 @@ class KernelEndpoint(Endpoint):
         return self._dp.kernel.netstack.sendmmsg(
             self.proc, self.sock, dst[0], dst[1], payload_lens
         )
-
-    def recv(self, blocking: bool = True) -> Signal:
-        return _as_first(self.recv_burst(1, blocking=blocking), "kernel.recv")
 
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
         """recvmmsg: drain queued messages under one crossing."""

@@ -44,7 +44,6 @@ from .base import (
     PacketFilter,
     QosConfig,
     _as_bool,
-    _as_first,
     describe_qos,
 )
 
@@ -70,9 +69,6 @@ class SidecarEndpoint(Endpoint):
         self._dp.machine.sim.after(0, done.succeed, True)
         return done
 
-    def send(self, payload_len: int, dst: Optional[Tuple[IPv4Address, int]] = None) -> Signal:
-        return _as_bool(self.send_burst((payload_len,), dst), "sidecar.send")
-
     def send_raw(self, pkt: Packet) -> Signal:
         return _as_bool(self._dp.app_tx_burst(self, (pkt,)), "sidecar.send")
 
@@ -89,9 +85,6 @@ class SidecarEndpoint(Endpoint):
             self._dp.build_packet(self, dst[0], dst[1], length) for length in payload_lens
         ]
         return self._dp.app_tx_burst(self, pkts)
-
-    def recv(self, blocking: bool = True) -> Signal:
-        return _as_first(self.recv_burst(1, blocking=blocking), "sidecar.recv")
 
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
         result = Signal("sidecar.recv_burst")

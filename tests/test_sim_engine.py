@@ -183,57 +183,44 @@ class TestHeapCompaction:
         assert sim.pending == 0
 
 
-class TestCalendarQueue:
-    """The bucketed scheduler's near/far split: times inside the bucket
-    window land in O(1) buckets, times beyond it overflow to a heap and
-    migrate in on rebase. None of this may be visible in firing order."""
+class TestFarFutureOrdering:
+    """Events milliseconds ahead share the heap with events nanoseconds
+    ahead; neither distance nor cancellation may perturb (time, seq)
+    order."""
 
-    def test_far_future_events_overflow_and_fire_in_order(self):
-        from repro.sim.engine import WINDOW_NS
-
+    def test_far_future_events_fire_in_order(self):
         sim = Simulator()
         fired = []
-        times = [10, WINDOW_NS - 1, WINDOW_NS + 5, 3 * WINDOW_NS + 17]
+        times = [10, 2_097_151, 2_097_157, 6_291_473]
         for t in times:
             sim.after(t, fired.append, t)
-        assert sim.far_pending == 2
         sim.run()
         assert fired == sorted(times)
-        assert sim.calendar_rebases >= 1
-        assert sim.far_pending == 0
 
-    def test_rebase_pulls_only_window_worth_of_far_events(self):
-        from repro.sim.engine import WINDOW_NS
-
+    def test_events_many_ms_apart_fire_in_order(self):
         sim = Simulator()
         fired = []
-        # Far events spread over many windows: each rebase may migrate at
-        # most one window's worth, so ordering survives repeated rebases.
-        times = [WINDOW_NS * k + 7 * k for k in range(1, 9)]
+        times = [2_097_159 * k for k in range(1, 9)]
         for t in times:
             sim.after(t, fired.append, t)
         sim.after(5, fired.append, 5)
         sim.run()
         assert fired == sorted(times + [5])
 
-    def test_cancel_heavy_schedule_straddling_the_boundary(self):
-        from repro.sim.engine import WINDOW_NS
-
+    def test_cancel_heavy_far_future_schedule(self):
         sim = Simulator()
         fired = []
         survivors = []
         victims = []
-        # Interleave near-bucket and far-heap entries; cancel two thirds.
-        # Compaction must collect live entries from both sides and the
-        # rebuilt structure must fire the survivors in time order.
+        # Spread over ~6.3 ms; cancel two thirds. Compaction must keep
+        # every live entry and the survivors must fire in time order.
         for i in range(180):
-            t = 1_000 + i * (WINDOW_NS // 60)  # spans ~3 windows
+            t = 1_000 + i * 34_952
             if i % 3 == 0:
                 survivors.append(t)
                 sim.after(t, fired.append, t)
             else:
                 victims.append(sim.after(t, fired.append, -t))
-        assert sim.far_pending > 0
         for h in victims:
             h.cancel()
         assert sim.heap_compactions >= 1
@@ -241,23 +228,19 @@ class TestCalendarQueue:
         assert fired == sorted(survivors)
         assert sim.pending == 0
 
-    def test_same_bucket_different_times_fire_in_order(self):
+    def test_adjacent_times_fire_in_order(self):
         sim = Simulator()
         fired = []
-        # Bucket granularity is coarser than 1 ns: distinct times mapping
-        # to one bucket must still fire in (time, seq) order.
         for t in (1_027, 1_025, 1_026, 1_024):
             sim.after(t, fired.append, t)
         sim.run()
         assert fired == [1_024, 1_025, 1_026, 1_027]
 
-    def test_cancelled_far_head_does_not_block_rebase(self):
-        from repro.sim.engine import WINDOW_NS
-
+    def test_cancelled_far_head_does_not_block_later_events(self):
         sim = Simulator()
         fired = []
-        head = sim.after(2 * WINDOW_NS, fired.append, "cancelled")
-        sim.after(2 * WINDOW_NS + 10, fired.append, "live")
+        head = sim.after(4_194_304, fired.append, "cancelled")
+        sim.after(4_194_314, fired.append, "live")
         head.cancel()
         sim.run()
         assert fired == ["live"]
