@@ -64,7 +64,7 @@ def _probe_ports(tb: Testbed) -> bool:
     tb.run_all()
     violations = sum(
         1 for p in tb.peer.received
-        if p.five_tuple is not None and p.five_tuple.dport == 5432
+        if p.l4 is not None and p.l4.dport == 5432
     )
     return violations == 0
 

@@ -240,7 +240,7 @@ class NatTable:
         rewritten packet, or None when SRAM is exhausted (caller decides:
         drop or software path)."""
         ft = pkt.five_tuple
-        if ft is None or pkt.ipv4 is None or pkt.l4 is None:
+        if ft is None:
             return pkt
         binding = self._by_internal.get(ft)
         if binding is None:
@@ -264,12 +264,13 @@ class NatTable:
         the internal flow. Unbound inbound traffic passes through unchanged
         (steering and filters downstream decide its fate — NAT is a
         translator, not a firewall)."""
-        ft = pkt.five_tuple
-        if ft is None or pkt.ipv4 is None or pkt.l4 is None:
+        ip = pkt.ipv4
+        l4 = pkt.l4
+        if ip is None or l4 is None:
             return pkt
-        if ft.dst_ip != self.public_ip:
+        if ip.dst != self.public_ip:
             return pkt
-        binding = self._by_public_port.get((ft.proto, ft.dport))
+        binding = self._by_public_port.get((ip.proto, l4.dport))
         if binding is None:
             self.metrics.counter("no_binding").inc()
             return pkt

@@ -238,7 +238,8 @@ class NormanEndpoint(Endpoint):
 
 
 def _message_of(pkt: Packet) -> Message:
-    ft = pkt.five_tuple
-    if ft is None:
+    ip = pkt.ipv4
+    l4 = pkt.l4
+    if ip is None or l4 is None:
         return (pkt.wire_len, IPv4Address(0), 0)
-    return (pkt.payload_len, ft.src_ip, ft.sport)
+    return (pkt.payload_len, ip.src, l4.sport)

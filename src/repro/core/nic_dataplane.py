@@ -26,6 +26,7 @@ from ..host.machine import Machine
 from ..interpose.fastpath import CHAIN_KOPI_RX, CHAIN_KOPI_TX
 from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc, PfifoQdisc, Qdisc
 from ..kernel.qdisc_runner import PacedQdiscRunner
+from ..net.flow import FiveTuple
 from ..net.link import Link
 from ..net.packet import Packet
 from ..nic.notification import KIND_RX_READY
@@ -167,25 +168,25 @@ class KopiNic:
         if self.offline:
             self.metrics.counter("rx_offline_drops").inc()
             return
+        ft = pkt.five_tuple
         ff = self.machine.ff
-        if ff is not None and not pkt.is_arp:
+        if ff is not None and ft is not None:
             # Hybrid fidelity: a promoted (fluid) flow absorbs the packet —
             # counted into the pending epoch, not simulated. Every counter
             # and cost this exact path would have moved is replayed by the
             # profile's deliver closure at flush. A shape mismatch inside
             # absorb_packet demotes and falls through to exact simulation.
-            aft = pkt.five_tuple
-            if aft is not None and ff.absorb_packet(aft, pkt.wire_len):
+            if ff.absorb_packet(ft, pkt.wire_len):
                 return
         self.metrics.counter("rx_pkts").inc()
         self.metrics.meter("rx_bytes").record(self.sim.now, pkt.wire_len)
 
         if self.nat is not None and not pkt.is_arp:
             pkt = self.nat.translate_in(pkt)
+            ft = pkt.five_tuple
 
         fp = self.machine.fastpath
-        ft = pkt.five_tuple if fp is not None else None
-        if ft is not None:
+        if fp is not None and ft is not None:
             entry = fp.lookup(CHAIN_KOPI_RX, ft)
             if entry is not None:
                 # Flow-cache hit: steering + overlay filter collapse into
@@ -221,12 +222,12 @@ class KopiNic:
                 if ff is not None and self.ff_plane is not None:
                     # One more consecutive steady-state packet; promotion
                     # happens here once the streak and eligibility line up.
-                    ff.note_exact(self.ff_plane, pkt.five_tuple, pkt)
+                    ff.note_exact(self.ff_plane, ft, pkt)
                 return
 
         # Resolve + attribute before filtering so owner-compiled rules and
         # the sniffer both see identity.
-        conn = self._resolve_rx(pkt)
+        conn = self._resolve_rx(ft)
         if conn is not None:
             pkt.meta.conn_id = conn.conn_id
             pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm = conn.owner
@@ -256,7 +257,7 @@ class KopiNic:
                     hit=(verdict == VERDICT_DROP), dropped=(verdict == VERDICT_DROP)
                 )
         fp_entry = None
-        if ft is not None:
+        if fp is not None and ft is not None:
             points = ("steering",) + (("overlay_filters",) if machine is not None else ())
             fp_entry = fp.install(
                 CHAIN_KOPI_RX, ft, verdict=verdict,
@@ -265,8 +266,7 @@ class KopiNic:
             )
         self.sim.after(latency, self._rx_effects, pkt, conn, verdict, fp_entry, False)
 
-    def _resolve_rx(self, pkt: Packet) -> Optional[NormanConnection]:
-        ft = pkt.five_tuple
+    def _resolve_rx(self, ft: Optional[FiveTuple]) -> Optional[NormanConnection]:
         if ft is None:
             return None
         # The control plane installs inbound-perspective entries: exact
@@ -344,12 +344,13 @@ class KopiNic:
         if not ring.try_post(pkt):
             self.metrics.counter("rx_ring_drops").inc()
             ff = self.machine.ff
-            if ff is not None and pkt.five_tuple is not None:
+            ft = pkt.five_tuple if ff is not None else None
+            if ft is not None:
                 # A full RX ring means delivery is now load-dependent
                 # (packets are being lost) — a queue-occupancy boundary.
                 from ..sim.fastforward import REASON_QDISC
 
-                ff.demote(pkt.five_tuple, REASON_QDISC)
+                ff.demote(ft, REASON_QDISC)
             if pkt.meta.trace is not None:
                 pkt.meta.trace.close(self.sim.now)
             return
@@ -477,8 +478,9 @@ class KopiNic:
             self._tx_pipeline(pkt, tenant=tenant)
         if fp_hit and verdict != VERDICT_DROP and self.tx_ff_plane is not None:
             ff = self.machine.ff
-            if ff is not None and pkt.five_tuple is not None:
-                ff.note_exact(self.tx_ff_plane, pkt.five_tuple, pkt)
+            ft = pkt.five_tuple if ff is not None else None
+            if ft is not None:
+                ff.note_exact(self.tx_ff_plane, ft, pkt)
         arb = self._pipeline_arb_ns(tenant, self._fixed_latency())
         if pkt.meta.trace is not None:
             # Doorbell MMIO latency + ring residency since the library post.
@@ -546,8 +548,9 @@ class KopiNic:
                 self._tx_pipeline(pkt, tenant=tenant)
             if fp_hit and verdict != VERDICT_DROP and self.tx_ff_plane is not None:
                 ff = self.machine.ff
-                if ff is not None and pkt.five_tuple is not None:
-                    ff.note_exact(self.tx_ff_plane, pkt.five_tuple, pkt)
+                ft = pkt.five_tuple if ff is not None else None
+                if ft is not None:
+                    ff.note_exact(self.tx_ff_plane, ft, pkt)
             if pkt.meta.trace is not None:
                 pkt.meta.trace.fill_gap(STAGE_DMA, self.sim.now, label="desc_fetch")
                 charge(STAGE_FASTPATH if fp_hit else STAGE_NETFILTER,

@@ -257,10 +257,9 @@ class SidecarDataplane(Dataplane):
                 ctx = pkt.meta.trace
                 charge(STAGE_COHERENCE, mv, ctx, label="x_core")
                 fp_entry = None
-                if fp is not None:
-                    ft = pkt.five_tuple
-                    if ft is not None:
-                        fp_entry = fp.lookup(CHAIN_OUTPUT, ft, ep.proc.pid)
+                ft = pkt.five_tuple if fp is not None else None
+                if ft is not None:
+                    fp_entry = fp.lookup(CHAIN_OUTPUT, ft, ep.proc.pid)
                 if fp_entry is not None:
                     verdict = fp_entry.verdict
                     work += (
@@ -280,11 +279,11 @@ class SidecarDataplane(Dataplane):
                                  examined * self.costs.netfilter_rule_ns, ctx,
                                  label="output_chain")
                     )
-                staged.append((pkt, verdict, fp_entry))
+                staged.append((pkt, verdict, fp_entry, ft))
 
             def _done(_s: Signal) -> None:
                 admitted = 0
-                for pkt, verdict, fp_entry in staged:
+                for pkt, verdict, fp_entry, ft in staged:
                     self._run_captures(pkt)
                     if pkt.meta.trace is not None:
                         # Absorb the wall time both cores spent on the rest
@@ -295,9 +294,9 @@ class SidecarDataplane(Dataplane):
                             label="batch_wait",
                         )
                     if verdict == DROP:
-                        if fp is not None and fp_entry is None and pkt.five_tuple is not None:
+                        if ft is not None and fp_entry is None:
                             fp.install(
-                                CHAIN_OUTPUT, pkt.five_tuple, ep.proc.pid,
+                                CHAIN_OUTPUT, ft, ep.proc.pid,
                                 verdict=verdict, points=("netfilter",),
                             )
                         if pkt.meta.trace is not None:
@@ -307,9 +306,9 @@ class SidecarDataplane(Dataplane):
                         cls = fp_entry.qdisc_class
                     else:
                         cls = self._classify(ep.proc.pid)
-                        if fp is not None and fp_entry is None and pkt.five_tuple is not None:
+                        if ft is not None and fp_entry is None:
                             fp.install(
-                                CHAIN_OUTPUT, pkt.five_tuple, ep.proc.pid,
+                                CHAIN_OUTPUT, ft, ep.proc.pid,
                                 verdict=verdict, qdisc_class=cls, points=("netfilter",),
                             )
                     if self.egress_runner.submit(pkt, cls):
@@ -365,15 +364,18 @@ class SidecarDataplane(Dataplane):
             self.kernel.observe_arp(pkt)
             self._run_captures(pkt)
             return None
-        ft = pkt.five_tuple
-        ep = self._endpoints.get((ft.proto, ft.dport)) if ft else None
+        ip = pkt.ipv4
+        l4 = pkt.l4
+        has_l4 = ip is not None and l4 is not None
+        ep = self._endpoints.get((ip.proto, l4.dport)) if has_l4 else None
         owner = owner_info(ep.proc) if ep else None
         if owner is not None:
             pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm = owner
         ctx = pkt.meta.trace
         fp = self.machine.fastpath
-        if fp is not None and ft is not None:
+        if fp is not None and has_l4:
             scope = owner[0] if owner is not None else None
+            ft = pkt.five_tuple
             entry = fp.lookup(CHAIN_INPUT, ft, scope)
             if entry is not None:
                 verdict = entry.verdict
@@ -423,8 +425,7 @@ class SidecarDataplane(Dataplane):
         self._run_captures(pkt)
         if verdict == DROP or ep is None or ep.closed:
             return
-        ft = pkt.five_tuple
-        msg: Message = (pkt.payload_len, ft.src_ip, ft.sport)
+        msg: Message = (pkt.payload_len, pkt.ipv4.src, pkt.l4.sport)
         waiter = self._waiters.pop((ep.proto, ep.port), None)
         if waiter is not None:
             self.kernel.scheduler.wake(ep.proc, value=msg)

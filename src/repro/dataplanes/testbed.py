@@ -44,15 +44,16 @@ class TrafficPeer:
         self.received.append(pkt)
         self.metrics.counter("rx_pkts").inc()
         self.metrics.meter("rx_bytes").record(self.sim.now, pkt.wire_len)
-        ft = pkt.five_tuple
-        if ft is not None:
-            self.metrics.meter(f"rx_dport_{ft.dport}").record(self.sim.now, pkt.wire_len)
+        ip = pkt.ipv4
+        l4 = pkt.l4
+        if ip is not None and l4 is not None:
+            self.metrics.meter(f"rx_dport_{l4.dport}").record(self.sim.now, pkt.wire_len)
             if self._echo is not None:
                 reply_len = self._echo(pkt)
                 if reply_len is not None:
                     self.send_udp(
-                        sport=ft.dport, dport=ft.sport, payload_len=reply_len,
-                        dst_ip=ft.src_ip,
+                        sport=l4.dport, dport=l4.sport, payload_len=reply_len,
+                        dst_ip=ip.src,
                     )
 
     def receive_fluid(self, n: int, wire_len: int, dport: int = 0,

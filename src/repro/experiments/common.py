@@ -109,7 +109,7 @@ def run_bulk_tx(
     app.start()
     tb.run_all()
 
-    delivered = [p for p in tb.peer.received if p.five_tuple and p.five_tuple.dport == 9000]
+    delivered = [p for p in tb.peer.received if p.l4 is not None and p.l4.dport == 9000]
     latencies = [
         p.meta.delivered_ns - p.meta.created_ns
         for p in delivered

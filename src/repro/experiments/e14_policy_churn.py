@@ -113,7 +113,7 @@ def run_churn_point(
     commits = tb.machine.interpose.commits_for(point.name)
     n, mean_us, max_us, stale = _commit_stats(commits)
     delivered = [
-        p for p in tb.peer.received if p.five_tuple and p.five_tuple.dport == 9000
+        p for p in tb.peer.received if p.l4 is not None and p.l4.dport == 9000
     ]
     return {
         "plane": plane_cls.name,

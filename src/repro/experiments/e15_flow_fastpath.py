@@ -125,7 +125,7 @@ def run_plane_point(
     tb.run_all()
 
     delivered = [
-        p for p in tb.peer.received if p.five_tuple and p.five_tuple.dport == 9_000
+        p for p in tb.peer.received if p.l4 is not None and p.l4.dport == 9_000
     ]
     host_cpu = tb.machine.cpus.total_busy_ns() - host_busy0
     pkts = max(len(delivered) + count, 1)
@@ -214,7 +214,7 @@ def run_churn_point(
     fp = tb.machine.fastpath
     assert fp is not None
     delivered = [
-        p for p in tb.peer.received if p.five_tuple and p.five_tuple.dport == 9_000
+        p for p in tb.peer.received if p.l4 is not None and p.l4.dport == 9_000
     ]
     return {
         "interval_us": interval_ns / units.US if interval_ns is not None else 0.0,

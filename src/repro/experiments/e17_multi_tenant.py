@@ -186,8 +186,7 @@ def _run_leg(
     stage_ns: Dict[str, int] = {}
     n_traced = 0
     for pkt in tb.peer.received:
-        ft = pkt.five_tuple
-        if ft is None or ft.dport not in victim_ports:
+        if pkt.l4 is None or pkt.l4.dport not in victim_ports:
             continue
         if not (pkt.meta.created_ns or pkt.meta.delivered_ns):
             continue
@@ -199,7 +198,7 @@ def _run_leg(
                 stage_ns[stage] = stage_ns.get(stage, 0) + ns
     hog_delivered = sum(
         1 for p in tb.peer.received
-        if p.five_tuple is not None and p.five_tuple.dport == HOG_PORT
+        if p.l4 is not None and p.l4.dport == HOG_PORT
     )
     fp = tb.machine.fastpath
     return {

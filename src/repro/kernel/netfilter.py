@@ -66,18 +66,20 @@ class NetfilterRule:
         )
 
     def matches(self, pkt: Packet, owner: Optional[OwnerTriple]) -> bool:
-        ft = pkt.five_tuple
-        if ft is None:
+        # Header fields are read in place: a rule walk builds no flow key.
+        ip = pkt.ipv4
+        l4 = pkt.l4
+        if ip is None or l4 is None:
             return False
-        if self.proto is not None and ft.proto != self.proto:
+        if self.proto is not None and ip.proto != self.proto:
             return False
-        if self.src_ip is not None and ft.src_ip != self.src_ip:
+        if self.src_ip is not None and ip.src != self.src_ip:
             return False
-        if self.dst_ip is not None and ft.dst_ip != self.dst_ip:
+        if self.dst_ip is not None and ip.dst != self.dst_ip:
             return False
-        if self.sport is not None and ft.sport != self.sport:
+        if self.sport is not None and l4.sport != self.sport:
             return False
-        if self.dport is not None and ft.dport != self.dport:
+        if self.dport is not None and l4.dport != self.dport:
             return False
         if self.needs_owner:
             if owner is None:

@@ -480,12 +480,13 @@ class KernelNetStack:
     def _rx_stage(self, pkt: Packet):
         """Shared demux/filter stage; returns (sock, verdict, work_ns) or
         None for non-IP traffic (handled inline)."""
-        ft = pkt.five_tuple
-        if ft is None:
+        ip = pkt.ipv4
+        l4 = pkt.l4
+        if ip is None or l4 is None:
             self._run_taps(pkt)
             self.metrics.counter("rx_non_ip").inc()
             return None
-        sock = self.sockets.lookup(ft.proto, ft.dport)
+        sock = self.sockets.lookup(ip.proto, l4.dport)
         owner = owner_info(sock.owner) if sock else None
         if owner is not None:
             # The kernel attributes inbound packets at socket demux time.
@@ -498,6 +499,7 @@ class KernelNetStack:
             # rule walk, never the kernel's process view); scope on the
             # owning pid so owner rules stay a function of the key.
             scope = owner[0] if owner is not None else None
+            ft = pkt.five_tuple
             entry = fp.lookup(CHAIN_INPUT, ft, scope)
             if entry is not None:
                 work = (
@@ -533,9 +535,8 @@ class KernelNetStack:
         if sock is None:
             self.metrics.counter("rx_no_socket").inc()
             return
-        ft = pkt.five_tuple
         payload = pkt.payload_len
-        msg = (payload, ft.src_ip, ft.sport)
+        msg = (payload, pkt.ipv4.src, pkt.l4.sport)
         sock.rx_bytes += payload
         self.metrics.counter("rx_pkts").inc()
         waiter = self._rx_waiters.pop(sock.port, None)

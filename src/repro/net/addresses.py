@@ -73,14 +73,19 @@ BROADCAST_MAC = MacAddress((1 << 48) - 1)
 
 
 class IPv4Address:
-    """An immutable 32-bit IPv4 address."""
+    """An immutable 32-bit IPv4 address.
 
-    __slots__ = ("_value",)
+    Addresses sit inside every five-tuple, and a tuple key hashes its items
+    on every dict probe, so the hash is computed once here.
+    """
+
+    __slots__ = ("_value", "_hash")
 
     def __init__(self, value: int):
         if not 0 <= value < 1 << 32:
             raise AddressError(f"IPv4 out of range: {value:#x}")
         object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "_hash", hash(("ipv4", value)))
 
     def __setattr__(self, *_args: object) -> None:
         raise AttributeError("IPv4Address is immutable")
@@ -121,4 +126,4 @@ class IPv4Address:
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
+        return self._hash

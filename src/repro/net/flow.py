@@ -2,64 +2,66 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from ..errors import PacketError
 from .addresses import IPv4Address
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, eq=False)
-class FiveTuple:
+
+class FiveTuple(tuple):
     """(proto, src ip/port, dst ip/port) — the unit of steering and NAT.
 
     Five-tuples key every hot dict in the dataplane (verdict cache,
-    conntrack, fast-forward state), so the hash — same value the
-    generated dataclass hash would produce — is computed once at
-    construction instead of per lookup, and equality compares raw
-    address words instead of dispatching through ``IPv4Address``.
+    conntrack, fast-forward state), and one is built per lookup, so the
+    value is a tuple of its five fields made in one call. It hashes as the
+    plain tuple of those fields (``IPv4Address`` caches its own hash), is
+    immutable for free, and equals only another ``FiveTuple``.
     """
 
-    proto: int
-    src_ip: IPv4Address
-    sport: int
-    dst_ip: IPv4Address
-    dport: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.proto <= 0xFF:
-            raise PacketError(f"proto out of range: {self.proto}")
-        for name, port in (("sport", self.sport), ("dport", self.dport)):
-            if not 0 <= port <= 0xFFFF:
-                raise PacketError(f"{name} out of range: {port}")
-        object.__setattr__(self, "_hash", hash(
-            (self.proto, self.src_ip, self.sport, self.dst_ip, self.dport)))
+    def __new__(cls, proto: int, src_ip: IPv4Address, sport: int,
+                dst_ip: IPv4Address, dport: int) -> "FiveTuple":
+        if not 0 <= proto <= 0xFF:
+            raise PacketError(f"proto out of range: {proto}")
+        if not 0 <= sport <= 0xFFFF:
+            raise PacketError(f"sport out of range: {sport}")
+        if not 0 <= dport <= 0xFFFF:
+            raise PacketError(f"dport out of range: {dport}")
+        return _tuple_new(cls, (proto, src_ip, sport, dst_ip, dport))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    proto = property(itemgetter(0))
+    src_ip = property(itemgetter(1))
+    sport = property(itemgetter(2))
+    dst_ip = property(itemgetter(3))
+    dport = property(itemgetter(4))
 
+    # A plain tuple of the same fields is a different value: returning
+    # NotImplemented here would let tuple's own comparison answer True.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FiveTuple:
-            return NotImplemented
-        return (
-            self.sport == other.sport
-            and self.dport == other.dport
-            and self.proto == other.proto
-            and self.src_ip._value == other.src_ip._value
-            and self.dst_ip._value == other.dst_ip._value
-        )
+        return other.__class__ is FiveTuple and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not FiveTuple or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self) -> tuple:
+        """copy and pickle rebuild the value through ``__new__``."""
+        return tuple(self)
 
     def reversed(self) -> "FiveTuple":
         """The reply direction of this flow."""
-        return FiveTuple(
-            proto=self.proto,
-            src_ip=self.dst_ip,
-            sport=self.dport,
-            dst_ip=self.src_ip,
-            dport=self.sport,
-        )
+        proto, src_ip, sport, dst_ip, dport = self
+        return FiveTuple(proto, dst_ip, dport, src_ip, sport)
 
     def __str__(self) -> str:
-        return (
-            f"{self.src_ip}:{self.sport} -> {self.dst_ip}:{self.dport} "
-            f"proto={self.proto}"
-        )
+        proto, src_ip, sport, dst_ip, dport = self
+        return f"{src_ip}:{sport} -> {dst_ip}:{dport} proto={proto}"
+
+    def __repr__(self) -> str:
+        proto, src_ip, sport, dst_ip, dport = self
+        return (f"FiveTuple(proto={proto!r}, src_ip={src_ip!r}, sport={sport!r}, "
+                f"dst_ip={dst_ip!r}, dport={dport!r})")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Union
 
 from ..errors import PacketError
@@ -13,6 +14,7 @@ from .headers import (
     ETHERTYPE_IPV4,
     PROTO_TCP,
     PROTO_UDP,
+    UDP_HEADER_LEN,
     ArpHeader,
     EthernetHeader,
     Ipv4Header,
@@ -22,6 +24,11 @@ from .headers import (
 )
 
 L4Header = Union[TcpHeader, UdpHeader]
+
+#: Packet ids, process-wide. A module-level counter, not a class attribute:
+#: writing an attribute of ``Packet`` on every packet would invalidate the
+#: interpreter's attribute cache for the class.
+_packet_ids = itertools.count(1)
 
 
 class Packet:
@@ -33,13 +40,11 @@ class Packet:
 
     Packets are the hottest allocation in the simulator, so the class is
     slotted and ``wire_len`` is computed once at construction (headers are
-    frozen, so it can never change).
+    immutable, so it can never change).
     """
 
     __slots__ = ("packet_id", "eth", "ipv4", "l4", "arp", "payload_len",
                  "meta", "wire_len")
-
-    _ids = 0
 
     def __init__(
         self,
@@ -57,8 +62,7 @@ class Packet:
             raise PacketError("L4 header requires an IPv4 header")
         if arp is None and ipv4 is None:
             raise PacketError("packet needs an ARP or IPv4 header")
-        Packet._ids += 1
-        self.packet_id = Packet._ids
+        self.packet_id = next(_packet_ids)
         self.eth = eth
         self.ipv4 = ipv4
         self.l4 = l4
@@ -91,15 +95,14 @@ class Packet:
 
     @property
     def five_tuple(self) -> Optional[FiveTuple]:
-        if self.ipv4 is None or self.l4 is None:
+        """The flow key, built anew on each read (never cached on the
+        packet). Classifiers that only compare fields read ``ipv4`` and
+        ``l4`` instead; build this where a dict key is needed."""
+        ip = self.ipv4
+        l4 = self.l4
+        if ip is None or l4 is None:
             return None
-        return FiveTuple(
-            proto=self.ipv4.proto,
-            src_ip=self.ipv4.src,
-            sport=self.l4.sport,
-            dst_ip=self.ipv4.dst,
-            dport=self.l4.dport,
-        )
+        return FiveTuple(ip.proto, ip.src, l4.sport, ip.dst, l4.dport)
 
     def to_bytes(self) -> bytes:
         """Wire image with a zero-filled payload."""
@@ -143,14 +146,14 @@ def make_udp(
     payload_len: int = 0,
 ) -> Packet:
     """Convenience UDP datagram builder."""
+    # Positional calls: this runs once per simulated datagram, and a
+    # keyword call costs more than a positional one.
     return Packet(
-        eth=EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4),
-        ipv4=Ipv4Header(
-            src=src_ip, dst=dst_ip, proto=PROTO_UDP,
-            payload_len=payload_len + UdpHeader(sport, dport).wire_len,
-        ),
-        l4=UdpHeader(sport=sport, dport=dport, payload_len=payload_len),
-        payload_len=payload_len,
+        EthernetHeader(dst_mac, src_mac, ETHERTYPE_IPV4),
+        Ipv4Header(src_ip, dst_ip, PROTO_UDP, payload_len + UDP_HEADER_LEN),
+        UdpHeader(sport, dport, payload_len),
+        None,  # no ARP body
+        payload_len,
     )
 
 

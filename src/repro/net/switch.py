@@ -194,15 +194,16 @@ class MatchAction:
     dport: Optional[int] = None
 
     def matches(self, pkt: Packet) -> bool:
-        ft = pkt.five_tuple
-        if ft is None:
+        ip = pkt.ipv4
+        l4 = pkt.l4
+        if ip is None or l4 is None:
             return False
         return (
-            (self.proto is None or ft.proto == self.proto)
-            and (self.src_ip is None or ft.src_ip == self.src_ip)
-            and (self.dst_ip is None or ft.dst_ip == self.dst_ip)
-            and (self.sport is None or ft.sport == self.sport)
-            and (self.dport is None or ft.dport == self.dport)
+            (self.proto is None or ip.proto == self.proto)
+            and (self.src_ip is None or ip.src == self.src_ip)
+            and (self.dst_ip is None or ip.dst == self.dst_ip)
+            and (self.sport is None or l4.sport == self.sport)
+            and (self.dport is None or l4.dport == self.dport)
         )
 
 
@@ -262,4 +263,5 @@ class NetworkInterposer:
     def observed_five_tuples(self) -> List[str]:
         """What an operator at the network level can see: 5-tuples, never
         processes."""
-        return [str(p.five_tuple) for p in self.mirrored if p.five_tuple]
+        flows = (p.five_tuple for p in self.mirrored)
+        return [str(ft) for ft in flows if ft is not None]

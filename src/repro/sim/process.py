@@ -16,6 +16,7 @@ the engine, so failures never pass silently.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Generator, Optional, Union
 
 from ..errors import SimulationError
@@ -24,11 +25,13 @@ from .events import Signal
 
 Yieldable = Union[int, Signal, "SimProcess"]
 
+#: Process ids, process-wide; module-level for the same reason as
+#: ``repro.net.packet``'s packet ids (no class-attribute write per process).
+_pids = itertools.count(1)
+
 
 class SimProcess:
     """Drives a generator inside a :class:`Simulator`."""
-
-    _ids = 0
 
     def __init__(
         self,
@@ -41,8 +44,7 @@ class SimProcess:
                 f"SimProcess needs a generator, got {type(gen).__name__}; "
                 "did you forget to call the generator function?"
             )
-        SimProcess._ids += 1
-        self.pid = SimProcess._ids
+        self.pid = next(_pids)
         self.name = name or f"proc-{self.pid}"
         self.sim = sim
         self.done = Signal(f"{self.name}.done")

@@ -41,25 +41,22 @@ def _compile_clause(clause: str) -> Predicate:
     tokens = clause.split()
     if tokens == ["arp"]:
         return lambda p: p.is_arp
+    # An L4 header implies an IPv4 one (Packet enforces it).
     if tokens == ["tcp"]:
-        return lambda p: p.five_tuple is not None and p.five_tuple.proto == PROTO_TCP
+        return lambda p: p.l4 is not None and p.ipv4.proto == PROTO_TCP
     if tokens == ["udp"]:
-        return lambda p: p.five_tuple is not None and p.five_tuple.proto == PROTO_UDP
+        return lambda p: p.l4 is not None and p.ipv4.proto == PROTO_UDP
     if len(tokens) == 2 and tokens[0] == "port":
         port = _port(tokens[1])
-        return lambda p: p.five_tuple is not None and port in (
-            p.five_tuple.sport, p.five_tuple.dport
-        )
+        return lambda p: p.l4 is not None and port in (p.l4.sport, p.l4.dport)
     if len(tokens) == 3 and tokens[1] == "port" and tokens[0] in ("src", "dst"):
         port = _port(tokens[2])
         if tokens[0] == "src":
-            return lambda p: p.five_tuple is not None and p.five_tuple.sport == port
-        return lambda p: p.five_tuple is not None and p.five_tuple.dport == port
+            return lambda p: p.l4 is not None and p.l4.sport == port
+        return lambda p: p.l4 is not None and p.l4.dport == port
     if len(tokens) == 2 and tokens[0] == "host":
         ip = IPv4Address.parse(tokens[1])
-        return lambda p: p.five_tuple is not None and ip in (
-            p.five_tuple.src_ip, p.five_tuple.dst_ip
-        )
+        return lambda p: p.l4 is not None and ip in (p.ipv4.src, p.ipv4.dst)
     raise ToolError(f"tcpdump: cannot parse clause {clause!r}")
 
 
