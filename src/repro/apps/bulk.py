@@ -38,18 +38,10 @@ class BulkSender(App):
 
     def run(self) -> Generator:
         yield self.ep.connect(self.dst[0], self.dst[1])
-        if self.burst <= 1:
-            while self.count is None or self.sent < self.count:
-                ok = yield self.ep.send(self.payload_len)
-                if self.first_send_ns is None:
-                    self.first_send_ns = self.sim.now
-                if ok:
-                    self.sent += 1
-                    self.sent_bytes += self.payload_len
-                    self.last_send_ns = self.sim.now
-            return
-        # Burst mode: hand the dataplane whole batches so its amortized
-        # paths (one doorbell / one sendmmsg crossing per burst) engage.
+        # Hand the dataplane whole batches so its amortized paths (one
+        # doorbell / one sendmmsg crossing per burst) engage; a burst of
+        # one is a plain send. A refused send on a closed endpoint ends
+        # the run.
         while self.count is None or self.sent < self.count:
             n = self.burst if self.count is None else min(self.burst, self.count - self.sent)
             admitted = yield self.ep.send_burst([self.payload_len] * n)

@@ -79,7 +79,9 @@ class CostModel:
     batch_size: int = 1
     """Packets moved per burst on every layer that supports bursts: ring
     doorbells, NIC TX drains, NAPI-style RX delivery, sendmmsg/recvmmsg.
-    1 reproduces strict per-packet processing (the seed behaviour)."""
+    It sizes bursts, not code paths: 1 runs the same burst code with
+    bursts of one, which is strict per-packet processing (the seed
+    behaviour)."""
 
     dma_setup_ns: int = 40
     """Marginal cost per extra descriptor inside one batched DMA transaction

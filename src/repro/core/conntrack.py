@@ -196,10 +196,6 @@ class ConntrackTable:
     def entries(self) -> List[CtEntry]:
         return sorted(self._entries.values(), key=lambda e: str(e.flow))
 
-    def entries_for_tenant(self, tid: int) -> List[CtEntry]:
-        """Owner-scoped view: one tenant's tracked flows."""
-        return [e for e in self.entries() if e.tenant_tid == tid]
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -89,7 +89,7 @@ class ControlPlane:
         nic.conn_resolver = self._conns.get
         nic.notify = self._post_notification
         nic.on_arp = self._observe_arp
-        nic.fallback_rx = kernel.netstack.deliver
+        nic.fallback_rx = kernel.netstack.deliver_burst
 
         # Every overlay slot (filters, classifier, policer, custom programs)
         # commits through one point: a load is submitted now and live after

@@ -16,7 +16,7 @@ verifier forbids loops.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from .. import units
 from ..config import CostModel
@@ -29,7 +29,7 @@ from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.flow import FiveTuple
 from ..net.link import Link
 from ..net.packet import Packet
-from ..nic.notification import KIND_RX_READY
+from ..nic.notification import KIND_RX_READY, KIND_TX_DRAINED
 from ..nic.smartnic.fpga import Bitstream, FpgaFabric
 from ..nic.smartnic.sram import SramAllocator
 from ..nic.tenant_sched import WeightedFairClock
@@ -67,7 +67,7 @@ N_PIPELINE_STAGES = 4  # attribute, filter, classify, mirror/steer
 ConnResolver = Callable[[int], Optional[NormanConnection]]
 NotifyFn = Callable[..., None]  # (conn, kind, count=1)
 ArpHook = Callable[[Packet], None]
-FallbackRx = Callable[[Packet], None]
+FallbackRx = Callable[[Sequence[Packet]], None]  # the kernel's RX entry
 
 
 class KopiNic:
@@ -301,7 +301,7 @@ class KopiNic:
         if conn is None or conn.closed:
             if self.fallback_rx is not None:
                 self.metrics.counter("rx_fallback").inc()
-                self.fallback_rx(pkt)
+                self.fallback_rx((pkt,))
             else:
                 self.metrics.counter("rx_no_conn_drops").inc()
                 if pkt.meta.trace is not None:
@@ -311,7 +311,7 @@ class KopiNic:
             # Connection exists but lives on the software path (E9).
             self.metrics.counter("rx_fallback").inc()
             if self.fallback_rx is not None:
-                self.fallback_rx(pkt)
+                self.fallback_rx((pkt,))
             return
         self._deliver_to_ring(pkt, conn)
 
@@ -454,87 +454,23 @@ class KopiNic:
         return max(gap, fin - self.sim.now)
 
     def _drain_tx(self, conn: NormanConnection) -> None:
-        if self.costs.batch_size > 1:
-            self._drain_tx_burst(conn)
-            return
-        pkt = conn.rings.tx.try_consume()
-        if pkt is None:
-            self._draining.discard(conn.conn_id)
-            return
-        pkt.meta.conn_id = conn.conn_id
-        pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm = conn.owner
-        conn.tx_packets += 1
-        # tenant: the descriptor fetch's DMA bytes and the pipeline pass
-        # below bill to the connection's owner.
-        tenant = self._tenant_of(conn, pkt)
-        if tenant is not None:
-            pkt.meta.tenant_tid = tenant.tid
-        self.machine.copies.charge(
-            LAYER_DMA, pkt.wire_len,
-            units.transmit_time_ns(pkt.wire_len, self.costs.pcie_bandwidth_bps),
-        )
-
-        verdict, sched_class, overlay_cost, fp_entry, fp_hit = \
-            self._tx_pipeline(pkt, tenant=tenant)
-        if fp_hit and verdict != VERDICT_DROP and self.tx_ff_plane is not None:
-            ff = self.machine.ff
-            ft = pkt.five_tuple if ff is not None else None
-            if ft is not None:
-                ff.note_exact(self.tx_ff_plane, ft, pkt)
-        arb = self._pipeline_arb_ns(tenant, self._fixed_latency())
-        if pkt.meta.trace is not None:
-            # Doorbell MMIO latency + ring residency since the library post.
-            pkt.meta.trace.fill_gap(STAGE_DMA, self.sim.now, label="desc_fetch")
-            charge(STAGE_FASTPATH if fp_hit else STAGE_NETFILTER, overlay_cost,
-                   pkt.meta.trace, cpu=False,
-                   label="tx_flow_cache" if fp_hit else "overlay_tx")
-            charge(STAGE_NIC_PIPELINE, self._fixed_latency(), pkt.meta.trace,
-                   cpu=False, label="tx_pipeline")
-            if arb:
-                charge(STAGE_NIC_PIPELINE, arb, pkt.meta.trace,
-                       cpu=False, label="pipeline_arb")
-        latency = self._fixed_latency() + overlay_cost + arb
-        self.sim.after(latency, self._tx_effects, pkt, conn, verdict, sched_class,
-                       fp_entry, fp_hit)
-
-        if not conn.rings.tx.is_empty:
-            # Keep draining, paced by PCIe fetch bandwidth — or by the
-            # connection's congestion-control rate when one is set.
-            gap = units.transmit_time_ns(pkt.wire_len, self.costs.pcie_bandwidth_bps)
-            if conn.rate_bps is not None:
-                gap = max(gap, units.transmit_time_ns(pkt.wire_len, conn.rate_bps))
-            gap = self._dma_fair_gap(tenant, pkt.wire_len, gap)
-            self.sim.after(max(gap, 1), self._drain_tx, conn)
-        else:
-            self._draining.discard(conn.conn_id)
-            if self.notify is not None:
-                from ..nic.notification import KIND_TX_DRAINED
-
-                self.notify(conn, KIND_TX_DRAINED)
-
-    def _drain_tx_burst(self, conn: NormanConnection) -> None:
-        """Batched drain: one descriptor fetch pulls up to ``batch_size``
-        packets, one fixed pipeline pass covers the burst, and their effects
-        land in a single coalesced simulator event."""
+        """One descriptor fetch pulls up to ``batch_size`` packets, one
+        fixed pipeline pass covers the burst, and their effects land in a
+        single coalesced simulator event."""
         pkts = conn.rings.tx.consume_burst(self.costs.batch_size)
         if not pkts:
             self._draining.discard(conn.conn_id)
             self._tx_drained.pop(conn.conn_id, None)
             return
-        self.metrics.counter("tx_bursts").inc()
+        if self.costs.batch_size > 1:
+            self.metrics.counter("tx_bursts").inc()
         self._tx_drained[conn.conn_id] = self._tx_drained.get(conn.conn_id, 0) + len(pkts)
         # tenant: one burst belongs to one connection, hence one tenant —
         # its pipeline pass and DMA bytes bill there.
         tenant = self._tenant_of(conn, pkts[0])
-        latency = self._fixed_latency()
-        # One pipeline pass covers the burst: the fixed latency lands on the
-        # lead packet's trace; each packet carries its own overlay cost.
-        charge(STAGE_NIC_PIPELINE, self._fixed_latency(), pkts[0].meta.trace,
-               cpu=False, label="tx_pipeline")
-        arb = self._pipeline_arb_ns(tenant, self._fixed_latency())
-        if arb:
-            latency += charge(STAGE_NIC_PIPELINE, arb, pkts[0].meta.trace,
-                              cpu=False, label="pipeline_arb")
+        fixed = self._fixed_latency()
+        arb = self._pipeline_arb_ns(tenant, fixed)
+        latency = fixed + arb
         total_wire = 0
         items = []
         for pkt in pkts:
@@ -551,11 +487,23 @@ class KopiNic:
                 ft = pkt.five_tuple if ff is not None else None
                 if ft is not None:
                     ff.note_exact(self.tx_ff_plane, ft, pkt)
-            if pkt.meta.trace is not None:
-                pkt.meta.trace.fill_gap(STAGE_DMA, self.sim.now, label="desc_fetch")
+            ctx = pkt.meta.trace
+            if ctx is not None:
+                # Doorbell MMIO latency + ring residency since the library post.
+                ctx.fill_gap(STAGE_DMA, self.sim.now, label="desc_fetch")
                 charge(STAGE_FASTPATH if fp_hit else STAGE_NETFILTER,
-                       overlay_cost, pkt.meta.trace, cpu=False,
+                       overlay_cost, ctx, cpu=False,
                        label="tx_flow_cache" if fp_hit else "overlay_tx")
+                if not items:
+                    # One pipeline pass covers the burst: the fixed latency
+                    # lands on the lead packet's trace; siblings absorb it
+                    # as pipeline wait when their effects run.
+                    # tenant: the pass bills to the burst's connection owner.
+                    charge(STAGE_NIC_PIPELINE, fixed, ctx, cpu=False,
+                           label="tx_pipeline")
+                    if arb:
+                        charge(STAGE_NIC_PIPELINE, arb, ctx, cpu=False,
+                               label="pipeline_arb")
             latency += overlay_cost
             items.append((pkt, conn, verdict, sched_class, fp_entry, fp_hit))
         self.machine.copies.charge(
@@ -566,6 +514,8 @@ class KopiNic:
         self.sim.after(latency, self._tx_effects_burst, items)
 
         if not conn.rings.tx.is_empty:
+            # Keep draining, paced by PCIe fetch bandwidth — or by the
+            # connection's congestion-control rate when one is set.
             gap = units.transmit_time_ns(total_wire, self.costs.pcie_bandwidth_bps)
             if conn.rate_bps is not None:
                 gap = max(gap, units.transmit_time_ns(total_wire, conn.rate_bps))
@@ -573,10 +523,8 @@ class KopiNic:
             self.sim.after(max(gap, 1), self._drain_tx, conn)
         else:
             self._draining.discard(conn.conn_id)
-            drained = self._tx_drained.pop(conn.conn_id, len(pkts))
+            drained = self._tx_drained.pop(conn.conn_id)
             if self.notify is not None:
-                from ..nic.notification import KIND_TX_DRAINED
-
                 # One notification covers every packet this doorbell session
                 # drained — the amortization the Notification.count records.
                 self.notify(conn, KIND_TX_DRAINED, drained)

@@ -53,17 +53,12 @@ class NormanOS(Dataplane):
         host_mac: MacAddress,
         egress: Link,
         shared_rings: bool = False,
-        smartnic_sram_bytes: Optional[int] = None,
     ):
         self.machine = machine
         self.costs: CostModel = machine.costs
         machine.tracer.plane = self.name
         self.sniffer = Sniffer(machine.sim)
         self.nic = KopiNic(machine, egress, self.sniffer)
-        if smartnic_sram_bytes is not None:
-            from ..nic.smartnic.sram import SramAllocator
-
-            self.nic.sram = SramAllocator(smartnic_sram_bytes, name="kopi0.sram")
         # The NIC ships factory-flashed with the KOPI image; later policy
         # changes use overlay loads, feature changes use load_bitstream.
         self.nic.fpga.factory_flash(KOPI_BITSTREAM)
@@ -311,8 +306,8 @@ class NormanOS(Dataplane):
 
         return FlowProfile(
             spans, core_id=conn.proc.core_id, wire_len=wire_len,
-            payload_len=payload_len, src_ip=src_ip, sport=sport,
-            deliver=deliver, conn_id=conn.conn_id, versions=entry.versions,
+            payload_len=payload_len, deliver=deliver, conn_id=conn.conn_id,
+            versions=entry.versions,
             tenant_tid=(machine.tenants.resolve(conn.proc).tid
                         if costs.tenants else None),
         )
@@ -492,8 +487,8 @@ class KopiTxFastForward:
 
         return FlowProfile(
             spans, core_id=conn.proc.core_id, wire_len=wire_len,
-            payload_len=payload_len, src_ip=ft.src_ip, sport=ft.sport,
-            deliver=deliver, conn_id=conn.conn_id, versions=entry.versions,
+            payload_len=payload_len, deliver=deliver, conn_id=conn.conn_id,
+            versions=entry.versions,
             tenant_tid=(machine.tenants.resolve(conn.proc).tid
                         if costs.tenants else None),
         )

@@ -102,7 +102,7 @@ class KernelPathDataplane(Dataplane):
             nic_send=self._kernel_tx, tx_rate_bps=egress.rate_bps,
         )
         for queue in self.nic.queues:
-            queue.set_handler(self._nic_rx, burst_handler=self._nic_rx_burst)
+            queue.set_handler(self._nic_rx_burst)
         # Register every interposition mechanism this plane owns with the
         # machine's PolicyEngine ("netfilter" is registered by Kernel itself).
         engine = machine.interpose
@@ -132,13 +132,6 @@ class KernelPathDataplane(Dataplane):
     def wire_rx(self, pkt: Packet) -> None:
         """Attach this to the ingress link."""
         self.nic.rx_from_wire(pkt)
-
-    def _nic_rx(self, pkt: Packet) -> None:
-        if pkt.is_arp:
-            self.kernel.observe_arp(pkt)
-            self.kernel.netstack._run_taps(pkt)
-            return
-        self.kernel.netstack.deliver(pkt)
 
     def _nic_rx_burst(self, pkts: List[Packet]) -> None:
         """NAPI poll: one softirq for the whole coalesced burst."""

@@ -162,7 +162,7 @@ class SidecarDataplane(Dataplane):
         )
         self.kernel = Kernel(machine, host_ip, host_mac, nic_send=self.nic.tx)
         for queue in self.nic.queues:
-            queue.set_handler(self._sidecar_rx, burst_handler=self._sidecar_rx_burst)
+            queue.set_handler(self._sidecar_rx_burst)
         self.egress_runner = PacedQdiscRunner(
             machine.sim, PfifoQdisc(), egress.rate_bps, self.nic.tx, name="sidecar_egress"
         )
@@ -327,16 +327,6 @@ class SidecarDataplane(Dataplane):
     def wire_rx(self, pkt: Packet) -> None:
         self.nic.rx_from_wire(pkt)
 
-    def _sidecar_rx(self, pkt: Packet) -> None:
-        staged = self._rx_stage(pkt)
-        if staged is None:
-            return
-        ep, verdict, work = staged
-        # trace: stage spans charged in _rx_stage; waits absorbed at _rx_effect.
-        self._score.execute(work, "sidecar_rx").add_callback(
-            lambda _sig: self._rx_effect(pkt, ep, verdict)
-        )
-
     def _sidecar_rx_burst(self, pkts: List[Packet]) -> None:
         """Burst softirq on the sidecar core: one execute event covers the
         whole burst's protocol work (coherence cost still per packet)."""
@@ -490,14 +480,6 @@ class SidecarDataplane(Dataplane):
             "virtual_copied_bytes": 0,
             "physical": self.machine.coherence.lines_moved,
         }
-
-    def copy_ledger_snapshot(self) -> Dict[str, int]:
-        """Per-layer copy accounting for this host. The sidecar's cross-core
-        line migration lands under the ``coherence`` layer (charged by
-        :class:`~repro.host.coherence.CoherenceFabric` per transfer); kernel
-        zero-copy modes never touch it — the sidecar moves bytes physically,
-        not across the user/kernel boundary, so E13 shows it unaffected."""
-        return self.machine.copies.snapshot()
 
     def sidecar_core_busy_ns(self) -> int:
         return self._score.busy_ns

@@ -8,7 +8,7 @@ and meters what the host emits, and can inject traffic toward the host.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, List, Optional, Type
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..host.machine import Machine
@@ -77,13 +77,6 @@ class TrafficPeer:
 
     def bytes_to_dport(self, dport: int) -> int:
         return self.metrics.meter(f"rx_dport_{dport}").total_bytes
-
-    def rx_rate_bps(self, dport: Optional[int] = None, end_ns: Optional[int] = None) -> float:
-        meter = (
-            self.metrics.meter(f"rx_dport_{dport}") if dport is not None
-            else self.metrics.meter("rx_bytes")
-        )
-        return meter.rate_bps(end_ns)
 
     # --- source side --------------------------------------------------------
 
@@ -169,10 +162,3 @@ class Testbed:
 
     def run_all(self, max_events: int = 10_000_000) -> int:
         return self.sim.run_until_idle(max_events=max_events)
-
-    def host_dir_metrics(self) -> Dict[str, float]:
-        return {
-            "peer.rx_pkts": float(self.peer.metrics.counter("rx_pkts").value),
-            "egress.sent": float(self.egress.metrics.counter("sent").value),
-            "ingress.sent": float(self.ingress.metrics.counter("sent").value),
-        }

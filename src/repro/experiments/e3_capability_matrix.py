@@ -9,24 +9,14 @@ KOPI supports everything at bypass cost.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..core.capabilities import SCENARIOS, capability_matrix, render_matrix
-from .common import Row, planes_under_test
+from .common import planes_under_test
 
 
 def run_e3() -> Dict[str, Dict[str, str]]:
     return capability_matrix(planes_under_test())
-
-
-def rows_of(matrix: Dict[str, Dict[str, str]]) -> List[Row]:
-    rows: List[Row] = []
-    for scenario in SCENARIOS:
-        row: Row = {"scenario": scenario}
-        for plane, cells in matrix.items():
-            row[plane] = "yes" if cells[scenario] == "yes" else "no"
-        rows.append(row)
-    return rows
 
 
 def headline(matrix: Dict[str, Dict[str, str]]) -> dict:

@@ -32,7 +32,8 @@ def run_capacity_sweep() -> List[Row]:
     rows: List[Row] = []
     for sram_conns in SRAM_SWEEP:
         for offered in OFFERED_CONNS:
-            tb = Testbed(NormanOS, smartnic_sram_bytes=sram_conns * CONN_STATE)
+            costs = DEFAULT_COSTS.replace(smartnic_sram_bytes=sram_conns * CONN_STATE)
+            tb = Testbed(NormanOS, costs=costs)
             proc = tb.spawn("srv", "bob", core_id=1)
             fallbacks = 0
             for i in range(offered):
@@ -51,8 +52,9 @@ def run_capacity_sweep() -> List[Row]:
 def run_fallback_penalty(count: int = 200) -> List[Row]:
     """Throughput of one sender on the fast path vs the software fallback."""
     rows: List[Row] = []
-    for label, sram_bytes in (("fast path", None), ("fallback", 1)):
-        tb = Testbed(NormanOS, smartnic_sram_bytes=sram_bytes)
+    for label, costs in (("fast path", DEFAULT_COSTS),
+                         ("fallback", DEFAULT_COSTS.replace(smartnic_sram_bytes=1))):
+        tb = Testbed(NormanOS, costs=costs)
         app = BulkSender(tb, comm="bulk", user="bob", core_id=1,
                          payload_len=1_458, count=count).start()
         busy0 = tb.machine.cpus[1].busy_ns
@@ -69,7 +71,8 @@ def run_fallback_penalty(count: int = 200) -> List[Row]:
 def run_adversary() -> List[Row]:
     """Greedy tenant exhausts SRAM; victim degrades; mitigation restores."""
     sram_conns = 64
-    tb = Testbed(NormanOS, smartnic_sram_bytes=sram_conns * CONN_STATE)
+    costs = DEFAULT_COSTS.replace(smartnic_sram_bytes=sram_conns * CONN_STATE)
+    tb = Testbed(NormanOS, costs=costs)
     hog = tb.spawn("hog", "charlie", core_id=2)
     hog_eps = [tb.dataplane.open_endpoint(hog, PROTO_UDP, 20_000 + i)
                for i in range(sram_conns)]

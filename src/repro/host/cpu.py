@@ -29,16 +29,6 @@ class Core:
         self.costs = costs
         self.busy_ns = 0
         self._free_at = 0
-        self._jobs = 0
-
-    @property
-    def free_at(self) -> int:
-        """Earliest time new work could start on this core."""
-        return max(self._free_at, self.sim.now)
-
-    @property
-    def jobs_run(self) -> int:
-        return self._jobs
 
     def execute(self, cost_ns: int, label: str = "", ctx=None) -> Signal:
         """Occupy the core for ``cost_ns``; the signal fires on completion.
@@ -61,7 +51,6 @@ class Core:
         end = start + cost_ns
         self._free_at = end
         self.busy_ns += cost_ns
-        self._jobs += 1
         done = Signal(f"core{self.core_id}.exec.{label}")
         self.sim.at(end, done.succeed, end)
         return done

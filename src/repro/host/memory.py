@@ -78,6 +78,3 @@ class MemorySystem:
         for r in self._regions:
             out[r.owner] = out.get(r.owner, 0) + r.size
         return out
-
-    def regions_of(self, owner: str) -> List[PinnedRegion]:
-        return [r for r in self._regions if r.owner == owner]

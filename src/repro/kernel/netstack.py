@@ -9,10 +9,10 @@ points for tcpdump, and the ability to block/wake readers.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..config import CostModel
-from ..errors import ConnectionRefused, KernelError, WouldBlock
+from ..errors import KernelError, WouldBlock
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.packet import Packet, make_tcp, make_udp
@@ -201,58 +201,6 @@ class KernelNetStack:
 
     # --- TX -------------------------------------------------------------------
 
-    def sendto(
-        self,
-        proc: Process,
-        sock: KernelSocket,
-        dst_ip: IPv4Address,
-        dport: int,
-        payload_len: int,
-    ) -> Signal:
-        """Send one message. The returned signal fires when the syscall
-        returns (packet handed to the egress qdisc or dropped by policy);
-        its value is True if the packet was admitted."""
-        pkt = self._build(sock, dst_ip, dport, payload_len)
-        owner = owner_info(proc)
-        pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm = owner
-        pkt.meta.created_ns = self.sim.now
-        self._tenant_stamp(pkt, proc)
-        ctx = self.tracer.begin(pkt) if self.tracer is not None else None
-
-        verdict, filter_ns, fp_entry = self._tx_filter(pkt, proc, owner)
-        work = (
-            self._tx_payload(proc, sock, payload_len, ctx=ctx)
-            + charge(STAGE_PROTO, self.costs.kernel_tx_pkt_ns, ctx, label="tx_proto")
-            + charge(STAGE_FASTPATH if fp_entry is not None else STAGE_NETFILTER,
-                     filter_ns, ctx, label="output_chain")
-            + charge(STAGE_QDISC, self.costs.qdisc_enqueue_ns, ctx, label="enqueue")
-        )
-        result = Signal("sendto")
-        syscall_done = self.syscalls.invoke(proc, "sendto", work, ctx=ctx)
-
-        def _after_syscall(_sig: Signal) -> None:
-            self._run_taps(pkt)
-            if verdict == DROP:
-                self._tx_install(pkt, proc, verdict, None, fp_entry)
-                self.metrics.counter("tx_filtered").inc()
-                if ctx is not None:
-                    ctx.close(self.sim.now)  # dropped: life ends at the filter
-                result.succeed(False)
-                return
-            cls = self._tx_class(pkt, proc, verdict, fp_entry)
-            admitted = self.egress.submit(pkt, cls)
-            if admitted:
-                sock.tx_bytes += payload_len
-                self.metrics.counter("tx_pkts").inc()
-            else:
-                self.metrics.counter("tx_qdisc_drops").inc()
-                if ctx is not None:
-                    ctx.close(self.sim.now)  # tail-dropped at the qdisc
-            result.succeed(admitted)
-
-        syscall_done.add_callback(_after_syscall)
-        return result
-
     def sendmmsg(
         self,
         proc: Process,
@@ -266,7 +214,8 @@ class KernelNetStack:
 
         The returned signal fires when the batched syscall returns; its
         value is the number of messages admitted to the egress qdisc. A
-        burst of one is cost- and event-identical to :meth:`sendto`.
+        burst of one is the classic ``sendto(2)``: one crossing, counted
+        as ``sendto``.
         """
         n = len(payload_lens)
         if n == 0:
@@ -355,38 +304,6 @@ class KernelNetStack:
 
     # --- RX -------------------------------------------------------------------
 
-    def recv(self, proc: Process, sock: KernelSocket, blocking: bool = True) -> Signal:
-        """Receive one message: (payload_len, src_ip, sport).
-
-        Blocks (yielding the core) when the queue is empty and ``blocking``;
-        otherwise fails with :class:`WouldBlock`.
-        """
-        result = Signal("recv")
-        if sock.rx_queue:
-            msg = sock.rx_queue.popleft()
-            work = self._rx_payload(proc, sock, msg[0])
-            done = self.syscalls.invoke(proc, "recvfrom", work)
-            done.add_callback(lambda _s: result.succeed(msg))
-            return result
-        if not blocking:
-            self.metrics.counter("rx_wouldblock").inc()
-            self.sim.after(0, result.fail, WouldBlock(f"no data on port {sock.port}"))
-            return result
-        if sock.port in self._rx_waiters:
-            raise KernelError(f"port {sock.port} already has a blocked reader")
-        woken = self.scheduler.block(proc, reason=f"recv:{sock.port}")
-        self._rx_waiters[sock.port] = (proc, woken)
-
-        def _after_wake(sig: Signal) -> None:
-            msg = sig.value
-            work = self._rx_payload(proc, sock, msg[0])
-            self.cpus[proc.core_id].execute(work, "rx_copy").add_callback(
-                lambda _s: result.succeed(msg)
-            )
-
-        woken.add_callback(_after_wake)
-        return result
-
     def recvmmsg(
         self, proc: Process, sock: KernelSocket, max_msgs: int, blocking: bool = True
     ) -> Signal:
@@ -394,7 +311,8 @@ class KernelNetStack:
         ``max_msgs`` queued messages under one crossing (or, when blocking
         on an empty queue, wake once and drain whatever the burst brought,
         like ``MSG_WAITFORONE``). The value is the list of messages; a
-        burst of one is cost- and event-identical to :meth:`recv`.
+        burst of one is the classic ``recvfrom(2)``. A non-blocking call
+        on an empty queue fails with :class:`WouldBlock`.
         """
         result = Signal("recvmmsg")
         if sock.rx_queue:
@@ -438,20 +356,11 @@ class KernelNetStack:
         woken.add_callback(_after_wake)
         return result
 
-    def deliver(self, pkt: Packet) -> None:
-        """RX entry from the NIC: protocol processing, INPUT filtering,
-        socket demux, and waking any blocked reader."""
-        staged = self._rx_stage(pkt)
-        if staged is None:
-            return
-        sock, verdict, work = staged
-        core = self.cpus[sock.owner.core_id if sock else 0]
-        # trace: stage spans charged in _rx_stage; waits absorbed at _rx_effect.
-        done = core.execute(work, "rx")
-        done.add_callback(lambda _sig: self._rx_effect(pkt, sock, verdict))
-
     def deliver_burst(self, pkts: Sequence[Packet]) -> None:
-        """NAPI-style RX entry: one softirq processes a whole burst.
+        """RX entry from the NIC, NAPI style: one softirq processes a whole
+        burst — protocol processing, INPUT filtering, socket demux, and
+        waking any blocked reader. A burst holds up to ``batch_size``
+        packets; KOPI's software fallback hands over one packet at a time.
 
         Protocol/filter/demux work is still charged per packet, but it is
         serialized under a single core-execute event per core — the burst
@@ -468,7 +377,8 @@ class KernelNetStack:
             per_core.setdefault(core_id, []).append((pkt, sock, verdict))
             core_work[core_id] = core_work.get(core_id, 0) + work
         for core_id, staged_pkts in per_core.items():
-            self.metrics.counter("rx_bursts").inc()
+            if self.costs.batch_size > 1:
+                self.metrics.counter("rx_bursts").inc()
 
             def _after_rx(_sig: Signal, staged_pkts=staged_pkts) -> None:
                 for pkt, sock, verdict in staged_pkts:

@@ -23,8 +23,7 @@ from ..trace import STAGE_DMA, STAGE_NIC_PIPELINE, charge
 from .rings import DescriptorRing
 from .steering import SteeringTable
 
-RxHandler = Callable[[Packet], None]
-RxBurstHandler = Callable[[List[Packet]], None]
+RxHandler = Callable[[List[Packet]], None]
 
 
 class NicQueue:
@@ -33,21 +32,17 @@ class NicQueue:
     def __init__(self, queue_id: int):
         self.queue_id = queue_id
         self.handler: Optional[RxHandler] = None
-        self.burst_handler: Optional[RxBurstHandler] = None
         self.ring: Optional[DescriptorRing] = None
-        # NAPI-style coalescing state (burst mode only).
+        # NAPI-style coalescing state.
         self.rx_pending: List[Packet] = []
         self.flush_handle: Optional[object] = None
 
-    def set_handler(
-        self, handler: RxHandler, burst_handler: Optional[RxBurstHandler] = None
-    ) -> None:
-        """Install the per-packet softirq entry, and optionally a burst
-        variant used when the cost model's ``batch_size`` exceeds 1."""
+    def set_handler(self, handler: RxHandler) -> None:
+        """Install the softirq entry. It receives each coalesced burst: up
+        to the cost model's ``batch_size`` packets, one at batch size 1."""
         if self.ring is not None:
             raise NicError(f"queue {self.queue_id} already has a ring")
         self.handler = handler
-        self.burst_handler = burst_handler
 
     def set_ring(self, ring: DescriptorRing) -> None:
         if self.handler is not None:
@@ -109,18 +104,7 @@ class BasicNic:
         pkt.meta.queue_id = queue_id
         queue = self.queues[queue_id]
         if queue.handler is not None:
-            if self.costs.batch_size > 1 and queue.burst_handler is not None:
-                self._rx_coalesce(queue, pkt)
-            else:
-                # DMA then hand to the handler (kernel path).
-                self.dma.account_placement(
-                    LAYER_DMA, pkt.wire_len, self.costs.pcie_dma_latency_ns
-                )
-                # tenant: RX DMA lands before ownership is known; the
-                # kernel RX stage stamps the tenant the trace bills to.
-                charge(STAGE_DMA, self.costs.pcie_dma_latency_ns,
-                       pkt.meta.trace, cpu=False, label="rx_dma")
-                self.sim.after(self.costs.pcie_dma_latency_ns, queue.handler, pkt)
+            self._rx_coalesce(queue, pkt)
         elif queue.ring is not None:
             if queue.ring.try_post(pkt):
                 # Zero-copy delivery: the frame lands directly in the
@@ -131,12 +115,13 @@ class BasicNic:
         else:
             self.metrics.counter("rx_unconfigured_drops").inc()
 
-    # --- burst RX (NAPI-style interrupt coalescing) ------------------------
+    # --- handler RX (NAPI-style interrupt coalescing) ----------------------
 
     def _rx_coalesce(self, queue: NicQueue, pkt: Packet) -> None:
         """Buffer the packet; deliver a whole burst to the handler either
         when ``batch_size`` packets are pending or when the coalescing
-        window expires — one DMA + one softirq event per burst."""
+        window expires — one DMA + one softirq event per burst. At batch
+        size 1 every packet flushes at once and no timer is armed."""
         queue.rx_pending.append(pkt)
         if len(queue.rx_pending) >= self.costs.batch_size:
             self._rx_flush(queue)
@@ -155,17 +140,19 @@ class BasicNic:
             queue.flush_handle.cancel()
             queue.flush_handle = None
         burst, queue.rx_pending = queue.rx_pending, []
-        self.metrics.counter("rx_bursts").inc()
+        if self.costs.batch_size > 1:
+            self.metrics.counter("rx_bursts").inc()
         burst_ns = self.costs.dma_burst_ns(len(burst))
         self.dma.account_placement(
             LAYER_DMA, sum(p.wire_len for p in burst), burst_ns, ops=len(burst)
         )
         # One DMA covers the burst: the shared latency lands on the lead
         # packet's trace; siblings absorb it as softirq wait at close time.
-        # tenant: ownership is stamped by the kernel RX stage downstream.
+        # tenant: RX DMA lands before ownership is known; the kernel RX
+        # stage stamps the tenant the trace bills to.
         charge(STAGE_DMA, burst_ns, burst[0].meta.trace, cpu=False,
-               label="rx_dma_burst")
-        self.sim.after(burst_ns, queue.burst_handler, burst)
+               label="rx_dma")
+        self.sim.after(burst_ns, queue.handler, burst)
 
     def classify_rx(self, pkt: Packet) -> int:
         """Queue selection: exact steering entry, else RSS, else queue 0."""

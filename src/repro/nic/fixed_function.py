@@ -75,7 +75,3 @@ class FixedFunctionNic(BasicNic):
         raise ReconfigurationUnsupported(
             "fixed-function NIC has no programmable scheduler"
         )
-
-    @property
-    def filter_count(self) -> int:
-        return len(self._filters)

@@ -32,9 +32,11 @@ class Notification:
     time_ns: int
 
     count: int = 1
-    """How many packets this notification covers. Burst mode posts one
-    coalesced notification per burst (NAPI/interrupt-coalescing style)
-    instead of one per packet; per-packet mode always uses 1."""
+    """How many packets this notification covers. A ``tx_drained`` counts
+    every packet its doorbell session drained, at any batch size, and a
+    fluid epoch's notification counts the epoch's packets. An exact-path
+    ``rx_ready`` counts 1; above batch size 1 it also stands for packets
+    that land before the reader drains the ring (interrupt coalescing)."""
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:

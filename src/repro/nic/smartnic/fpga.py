@@ -33,12 +33,6 @@ class Bitstream:
     overlay_slots: "tuple[tuple[str, int], ...]"  # (slot name, max instrs)
     logic_units: int = 100_000
 
-    def slot_capacity(self, slot: str) -> Optional[int]:
-        for name, cap in self.overlay_slots:
-            if name == slot:
-                return cap
-        return None
-
 
 class OverlaySlot:
     """One loadable program slot inside the current bitstream."""

@@ -101,13 +101,11 @@ class FlowProfile:
     which :class:`FlowGroup` the flow coalesces into.
     """
 
-    __slots__ = ("spans", "core_id", "wire_len", "payload_len",
-                 "src_ip", "sport", "deliver", "conn_id",
-                 "versions", "tenant_tid", "latency_ns", "cpu_ns")
+    __slots__ = ("spans", "core_id", "wire_len", "payload_len", "deliver",
+                 "conn_id", "versions", "tenant_tid", "latency_ns", "cpu_ns")
 
     def __init__(self, spans: Tuple[Tuple[str, int, bool, str], ...],
                  core_id: int, wire_len: int, payload_len: int = 0,
-                 src_ip: str = "", sport: int = 0,
                  deliver: Optional[Callable[[int], None]] = None,
                  conn_id: Optional[int] = None,
                  versions: Tuple[Tuple[str, int], ...] = (),
@@ -116,8 +114,6 @@ class FlowProfile:
         self.core_id = core_id
         self.wire_len = wire_len
         self.payload_len = payload_len
-        self.src_ip = src_ip
-        self.sport = sport
         self.deliver = deliver
         self.conn_id = conn_id
         self.versions = tuple(versions)
@@ -732,8 +728,7 @@ class RackFastForward:
         extended = FlowProfile(
             prof.spans + ((STAGE_WIRE, wire_ns, False, peer.downlink.name),),
             prof.core_id, prof.wire_len, payload_len=prof.payload_len,
-            src_ip=prof.src_ip, sport=prof.sport, deliver=prof.deliver,
-            conn_id=prof.conn_id, versions=prof.versions,
+            deliver=prof.deliver, conn_id=prof.conn_id, versions=prof.versions,
             tenant_tid=prof.tenant_tid)
         host.ctrl.rebind(key, extended)
         self._bound[key] = CrossMachineFlow(key, host, peer)

@@ -21,7 +21,7 @@ Two invariants make the data trustworthy:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.metrics import Histogram
 from .stages import STAGES
@@ -282,14 +282,3 @@ class Tracer:
             "cpu_ns_attributed": ctx_cpu + fluid_cpu,
             "latency": lat.summary(),
         }
-
-    def merged_stage_histogram(self, stages: Iterable[str],
-                               plane: Optional[str] = None) -> Histogram:
-        """One histogram merging several stages' per-packet samples —
-        exercises :meth:`Histogram.merge` for grouped reporting."""
-        hists = self.stage_histograms(plane)
-        merged = Histogram("trace.merged")
-        for stage in stages:
-            if stage in hists:
-                merged.merge(hists[stage])
-        return merged

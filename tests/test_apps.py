@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import units
 from repro.core import NormanOS
 from repro.dataplanes import BypassDataplane, KernelPathDataplane, Testbed
 from repro.dataplanes.testbed import PEER_IP
@@ -34,6 +35,18 @@ class TestBulkSender:
         app = BulkSender(tb, comm="bulk", user="bob", core_id=1, count=10).start()
         tb.run_all()
         assert app.sent == 10
+
+    @pytest.mark.parametrize("burst", [1, 4])
+    def test_stops_when_endpoint_closes_mid_run(self, burst):
+        """A closed endpoint refuses every send; the sender must give up
+        rather than retry forever."""
+        tb = Testbed(NormanOS)
+        app = BulkSender(tb, comm="bulk", user="bob", core_id=1,
+                         count=100, burst=burst).start()
+        tb.sim.at(10 * units.US, app.ep.close)
+        tb.run_all(max_events=5_000)
+        assert app.task.finished
+        assert 0 < app.sent < 100
 
 
 class TestSinkAndEcho:

@@ -177,7 +177,7 @@ class TestAmortization:
 class TestBurstRx:
     """NAPI-style RX: the NIC coalesces ``batch_size`` packets per burst,
     the interrupt-coalescing timer flushes the remainder, and the plane's
-    burst handler delivers exactly what per-packet RX delivers."""
+    handler delivers exactly what bursts of one deliver."""
 
     N_RX = 10
 
@@ -206,6 +206,29 @@ class TestBurstRx:
         assert burst == per_packet
         # Two full bursts of four, then the timer flushes the last two.
         assert stats["nic0.rx_bursts"] == 3
+
+
+class TestTxDrainedCount:
+    """KOPI posts one ``tx_drained`` per doorbell session, and its count is
+    every packet that session drained, whatever the burst size."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_one_notification_covers_the_session(self, batch):
+        from repro.nic.notification import KIND_TX_DRAINED
+
+        tb = Testbed(NormanOS, costs=replace(DEFAULT_COSTS, batch_size=batch))
+        proc = tb.spawn("tx", "bob", core_id=1)
+        ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, 6_000)
+
+        def driver():
+            yield ep.connect(PEER_IP, 9_000)
+            yield ep.send_burst([64] * 3)
+
+        SimProcess(tb.sim, driver(), name="driver")
+        tb.run_all()
+        queue = tb.dataplane.control.notification_queue(proc.pid)
+        drained = [n for n in queue.drain() if n.kind == KIND_TX_DRAINED]
+        assert [n.count for n in drained] == [3]
 
 
 class TestBoundedHistogram:

@@ -241,7 +241,7 @@ class TestSsTool:
     def test_ss_reports_fallback(self):
         from repro.config import DEFAULT_COSTS
 
-        tb = Testbed(NormanOS, smartnic_sram_bytes=1)
+        tb = Testbed(NormanOS, costs=DEFAULT_COSTS.replace(smartnic_sram_bytes=1))
         proc = tb.spawn("app", "bob", core_id=1)
         tb.dataplane.open_endpoint(proc, PROTO_UDP, 6000)
         ss = Ss(tb.dataplane, tb.kernel)

@@ -116,7 +116,7 @@ class TestMonitorModes:
 
 class TestFallbackEdges:
     def test_fallback_endpoint_refuses_raw_frames(self):
-        tb = Testbed(NormanOS, smartnic_sram_bytes=1)
+        tb = Testbed(NormanOS, costs=DEFAULT_COSTS.replace(smartnic_sram_bytes=1))
         proc = tb.spawn("app", "bob", core_id=1)
         ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, 6000)
         assert ep.conn.fallback
@@ -126,7 +126,7 @@ class TestFallbackEdges:
             ep.send_raw(make_arp_request(HOST_MAC, HOST_IP, PEER_IP))
 
     def test_fallback_nonblocking_recv(self):
-        tb = Testbed(NormanOS, smartnic_sram_bytes=1)
+        tb = Testbed(NormanOS, costs=DEFAULT_COSTS.replace(smartnic_sram_bytes=1))
         proc = tb.spawn("app", "bob", core_id=1)
         ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, 6000)
         errs = []
@@ -143,10 +143,10 @@ class TestNetstackEdges:
         tb = Testbed(KernelPathDataplane)
         a = tb.spawn("a", "bob", core_id=1)
         sock = tb.kernel.sockets.bind(a, PROTO_UDP, 7000)
-        tb.kernel.netstack.recv(a, sock, blocking=True)
+        tb.kernel.netstack.recvmmsg(a, sock, 1, blocking=True)
         b = tb.spawn("b", "bob", core_id=2)
         with pytest.raises(KernelError, match="blocked reader"):
-            tb.kernel.netstack.recv(b, sock, blocking=True)
+            tb.kernel.netstack.recvmmsg(b, sock, 1, blocking=True)
 
     def test_kernel_capture_writes_pcap(self):
         from repro.dataplanes import KernelPathDataplane

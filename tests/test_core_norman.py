@@ -254,7 +254,9 @@ class TestBlockingIo:
 class TestFallback:
     def test_sram_exhaustion_degrades_to_software_path(self):
         # SRAM for exactly 2 connections.
-        tb = Testbed(NormanOS, smartnic_sram_bytes=2 * DEFAULT_COSTS.conn_state_bytes)
+        costs = DEFAULT_COSTS.replace(
+            smartnic_sram_bytes=2 * DEFAULT_COSTS.conn_state_bytes)
+        tb = Testbed(NormanOS, costs=costs)
         procs = [tb.spawn(f"app{i}", "bob", core_id=1) for i in range(3)]
         eps = [tb.dataplane.open_endpoint(p, PROTO_UDP, 7000 + i)
                for i, p in enumerate(procs)]
@@ -268,7 +270,7 @@ class TestFallback:
         assert tb.kernel.syscalls.metrics.counter("sendto").value == 1
 
     def test_fallback_rx_delivered_through_kernel(self):
-        tb = Testbed(NormanOS, smartnic_sram_bytes=1)
+        tb = Testbed(NormanOS, costs=DEFAULT_COSTS.replace(smartnic_sram_bytes=1))
         proc = tb.spawn("app", "bob", core_id=1)
         ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, 7000)
         assert ep.conn.fallback
@@ -284,7 +286,9 @@ class TestFallback:
         assert got[0][0] == 250
 
     def test_close_releases_nic_resources(self):
-        tb = Testbed(NormanOS, smartnic_sram_bytes=1 * DEFAULT_COSTS.conn_state_bytes)
+        costs = DEFAULT_COSTS.replace(
+            smartnic_sram_bytes=1 * DEFAULT_COSTS.conn_state_bytes)
+        tb = Testbed(NormanOS, costs=costs)
         a = tb.spawn("a", "bob", core_id=1)
         ep = tb.dataplane.open_endpoint(a, PROTO_UDP, 7000)
         assert not ep.conn.fallback

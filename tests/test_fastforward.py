@@ -223,13 +223,10 @@ class TestControllerUnit:
 
 
 def _testbed(**over):
-    kwargs = {}
-    if "smartnic_sram_bytes" in over:
-        kwargs["smartnic_sram_bytes"] = over.pop("smartnic_sram_bytes")
     costs = DEFAULT_COSTS.replace(
         flow_fastpath=True, fast_forward=True, ff_promote_after=2, **over,
     )
-    tb = Testbed(NormanOS, costs=costs, n_cores=2, **kwargs)
+    tb = Testbed(NormanOS, costs=costs, n_cores=2)
     proc = tb.spawn("srv", "bob", core_id=1)
     ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, PORT)
     tb.run_all()

@@ -32,11 +32,11 @@ class TestTx:
         proc = kernel.spawn("postgres", bob)
         sock = kernel.sockets.bind(proc, PROTO_UDP, 5432)
         results = []
-        kernel.netstack.sendto(proc, sock, PEER_IP, 9000, 1_000).add_callback(
+        kernel.netstack.sendmmsg(proc, sock, PEER_IP, 9000, [1_000]).add_callback(
             lambda s: results.append(s.value)
         )
         machine.sim.run()
-        assert results == [True]
+        assert results == [1]
         assert len(wire) == 1
         pkt = wire[0]
         assert pkt.meta.owner_comm == "postgres"
@@ -48,7 +48,7 @@ class TestTx:
         machine, kernel, _ = build()
         proc = kernel.spawn("app", "root", core_id=1)
         sock = kernel.sockets.bind(proc, PROTO_UDP, 2000)
-        kernel.netstack.sendto(proc, sock, PEER_IP, 9000, 1_500)
+        kernel.netstack.sendmmsg(proc, sock, PEER_IP, 9000, [1_500])
         machine.sim.run()
         core = machine.cpus[1]
         floor = DEFAULT_COSTS.syscall_ns + DEFAULT_COSTS.kernel_tx_pkt_ns
@@ -64,11 +64,11 @@ class TestTx:
             NetfilterRule(verdict=DROP, chain=CHAIN_OUTPUT, dport=9000, uid_owner=bob.uid)
         )
         results = []
-        kernel.netstack.sendto(proc, sock, PEER_IP, 9000, 100).add_callback(
+        kernel.netstack.sendmmsg(proc, sock, PEER_IP, 9000, [100]).add_callback(
             lambda s: results.append(s.value)
         )
         machine.sim.run()
-        assert results == [False]
+        assert results == [0]
         assert wire == []
         assert kernel.netstack.metrics.counter("tx_filtered").value == 1
 
@@ -77,7 +77,7 @@ class TestTx:
         proc = kernel.spawn("app", "root")
         sock = kernel.sockets.bind(proc, PROTO_UDP, 2000)
         stranger = IPv4Address.parse("172.16.5.9")
-        kernel.netstack.sendto(proc, sock, stranger, 80, 10)
+        kernel.netstack.sendmmsg(proc, sock, stranger, 80, [10])
         machine.sim.run()
         assert wire[0].eth.dst == MacAddress.from_index(stranger.value & 0xFF_FFFF)
 
@@ -93,11 +93,12 @@ class TestRx:
         got = []
 
         def server():
-            msg = yield kernel.netstack.recv(proc, sock)
+            msgs = yield kernel.netstack.recvmmsg(proc, sock, 1)
+            msg = msgs[0]
             got.append((machine.sim.now, msg))
 
         SimProcess(machine.sim, server())
-        machine.sim.after(50_000, kernel.netstack.deliver, self.rx_pkt())
+        machine.sim.after(50_000, kernel.netstack.deliver_burst, [self.rx_pkt()])
         machine.sim.run()
         assert len(got) == 1
         when, (size, src_ip, sport) = got[0]
@@ -109,11 +110,13 @@ class TestRx:
         machine, kernel, _ = build()
         proc = kernel.spawn("server", "root")
         sock = kernel.sockets.bind(proc, PROTO_UDP, 7000)
-        kernel.netstack.deliver(self.rx_pkt())
+        kernel.netstack.deliver_burst([self.rx_pkt()])
         machine.sim.run()
         assert len(sock.rx_queue) == 1
         got = []
-        kernel.netstack.recv(proc, sock).add_callback(lambda s: got.append(s.value))
+        kernel.netstack.recvmmsg(proc, sock, 1).add_callback(
+            lambda s: got.extend(s.value)
+        )
         machine.sim.run()
         assert got[0][0] == 500
 
@@ -122,14 +125,14 @@ class TestRx:
         proc = kernel.spawn("poller", "root")
         sock = kernel.sockets.bind(proc, PROTO_UDP, 7000)
         errors = []
-        sig = kernel.netstack.recv(proc, sock, blocking=False)
+        sig = kernel.netstack.recvmmsg(proc, sock, 1, blocking=False)
         sig.add_callback(lambda s: errors.append(type(s.exception)))
         machine.sim.run()
         assert errors == [WouldBlock]
 
     def test_rx_to_unbound_port_counted(self):
         machine, kernel, _ = build()
-        kernel.netstack.deliver(self.rx_pkt(dport=4444))
+        kernel.netstack.deliver_burst([self.rx_pkt(dport=4444)])
         machine.sim.run()
         assert kernel.netstack.metrics.counter("rx_no_socket").value == 1
 
@@ -140,7 +143,7 @@ class TestRx:
         kernel.sockets.bind(proc, PROTO_UDP, 7000)
         seen = []
         kernel.netstack.add_tap(seen.append)
-        kernel.netstack.deliver(self.rx_pkt())
+        kernel.netstack.deliver_burst([self.rx_pkt()])
         machine.sim.run()
         assert seen[0].meta.owner_comm == "postgres"
 
@@ -152,13 +155,13 @@ class TestTaps:
         sock = kernel.sockets.bind(proc, PROTO_UDP, 7000)
         seen = []
         detach = kernel.netstack.add_tap(seen.append)
-        kernel.netstack.sendto(proc, sock, PEER_IP, 9000, 10)
+        kernel.netstack.sendmmsg(proc, sock, PEER_IP, 9000, [10])
         pkt_in = make_udp(PEER_MAC, HOST_MAC, PEER_IP, HOST_IP, 555, 7000, 20)
-        kernel.netstack.deliver(pkt_in)
+        kernel.netstack.deliver_burst([pkt_in])
         machine.sim.run()
         assert len(seen) == 2
         detach()
-        kernel.netstack.sendto(proc, sock, PEER_IP, 9000, 10)
+        kernel.netstack.sendmmsg(proc, sock, PEER_IP, 9000, [10])
         machine.sim.run()
         assert len(seen) == 2
 
@@ -181,7 +184,7 @@ class TestKernelFacade:
         machine, kernel, _ = build()
         proc = kernel.spawn("app", "root")
         sock = kernel.sockets.bind(proc, PROTO_UDP, 2000)
-        kernel.netstack.sendto(proc, sock, PEER_IP, 80, 10)
+        kernel.netstack.sendmmsg(proc, sock, PEER_IP, 80, [10])
         machine.sim.run()
         snap = kernel.snapshot()
         assert snap["syscall.total"] >= 1
@@ -200,7 +203,7 @@ class TestKernelFacade:
         proc = kernel.spawn("app", "root")
         sock = kernel.sockets.bind(proc, PROTO_UDP, 2000)
         for _ in range(3):
-            kernel.netstack.sendto(proc, sock, PEER_IP, 80, 958)
+            kernel.netstack.sendmmsg(proc, sock, PEER_IP, 80, [958])
         machine.sim.run()
         assert len(times) == 3
         gaps = [b - a for a, b in zip(times, times[1:])]

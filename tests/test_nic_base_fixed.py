@@ -43,13 +43,16 @@ class TestBasicNicRx:
         m, nic, _ = build()
         got = []
         for q in nic.queues:
-            q.set_handler(lambda p: got.append((m.sim.now, p)))
+            q.set_handler(lambda burst: got.append((m.sim.now, burst)))
         nic.rx_from_wire(udp_in())
         m.sim.run()
         assert len(got) == 1
-        when, pkt = got[0]
+        when, burst = got[0]
+        # At batch size 1 the handler gets a burst of one, flushed at once.
+        assert len(burst) == 1
         assert when == DEFAULT_COSTS.nic_pipeline_ns + DEFAULT_COSTS.pcie_dma_latency_ns
-        assert pkt.meta.queue_id is not None
+        assert burst[0].meta.queue_id is not None
+        assert "nic0.rx_bursts" not in nic.stats()
 
     def test_ring_queue_is_pollable(self):
         m, nic, _ = build()
@@ -132,7 +135,7 @@ class TestFixedFunctionNic:
         m, nic, _ = build(FixedFunctionNic)
         got = []
         for q in nic.queues:
-            q.set_handler(got.append)
+            q.set_handler(got.extend)
         nic.install_filter(MatchAction(action="drop", proto=PROTO_TCP, dport=5432))
         nic.rx_from_wire(make_tcp(MAC_P, MAC_H, IP_P, IP_H, 1, 5432))
         nic.rx_from_wire(make_tcp(MAC_P, MAC_H, IP_P, IP_H, 1, 3306))
