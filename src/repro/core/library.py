@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import EndpointClosed, UnsupportedOperation, WouldBlock
+from ..errors import EndpointClosed, InvalidSyscall, UnsupportedOperation, WouldBlock
 from ..net.addresses import IPv4Address
 from ..net.headers import PROTO_TCP
 from ..net.packet import Packet, make_tcp, make_udp
 from ..sim import Signal
 from ..trace import STAGE_COHERENCE, STAGE_DMA, STAGE_RING, charge
-from ..dataplanes.base import Endpoint, _as_bool
+from ..dataplanes.base import Endpoint, Message, _as_bool, _message_of, _Rearm
 from .connection import NormanConnection
-
-Message = Tuple[int, IPv4Address, int]
 
 
 class NormanEndpoint(Endpoint):
@@ -109,24 +107,23 @@ class NormanEndpoint(Endpoint):
         # MMIO nanoseconds land on the lead packet's trace).
         cost += charge(STAGE_DMA, self._os.machine.dma.mmio_write_cost(),
                        lead_ctx, label="doorbell")
-        state = {"idx": 0, "posted": 0}
+        posted = 0
 
-        def _attempt(_sig: Optional[Signal] = None) -> None:
+        def _post() -> Optional[Signal]:
+            nonlocal posted
             if self.closed:
-                result.succeed(state["posted"])
-                return
-            posted_now = self.conn.rings.tx.post_burst(pkts[state["idx"]:])
+                result.succeed(posted)
+                return None
+            posted_now = self.conn.rings.tx.post_burst(pkts[posted:])
             if posted_now:
-                state["posted"] += posted_now
-                state["idx"] += posted_now
+                posted += posted_now
                 self._os.nic.doorbell(self.conn)
-            if state["idx"] >= len(pkts):
-                result.succeed(state["posted"])
-                return
-            woken = self._os.control.block_on_tx(self.conn, self.proc)
-            woken.add_callback(_attempt)
+            if posted >= len(pkts):
+                result.succeed(posted)
+                return None
+            return self._os.control.block_on_tx(self.conn, self.proc)
 
-        self._core.execute(cost, "norman_tx", ctx=lead_ctx).add_callback(_attempt)
+        self._core.execute(cost, "norman_tx", ctx=lead_ctx).add_callback(_Rearm(_post))
         return result
 
     def _build(self, dst_ip: IPv4Address, dport: int, payload_len: int) -> Packet:
@@ -147,16 +144,18 @@ class NormanEndpoint(Endpoint):
         DMA-written lines are cheap while the active working set fits DDIO
         and DRAM-expensive once it does not — the E8 mechanism.
         """
+        if max_msgs < 1:
+            raise InvalidSyscall(f"recv_burst of {max_msgs} messages")
         if self.conn.fallback:
             return self._os.kernel.netstack.recvmmsg(
                 self.proc, self.conn.sock, max_msgs, blocking=blocking
             )
         result = Signal("norman.recv_burst")
 
-        def _attempt(_sig: Optional[Signal] = None) -> None:
+        def _read() -> Optional[Signal]:
             if self.closed:
                 result.fail(EndpointClosed(f"endpoint :{self.port} closed"))
-                return
+                return None
             pkts = self.conn.rings.rx.consume_burst(max_msgs)
             if pkts:
                 # A flow can straddle fidelity modes mid-burst (exact
@@ -184,21 +183,20 @@ class NormanEndpoint(Endpoint):
                     result.succeed([_message_of(p) for p in pkts] + fluid)
 
                 self._core.execute(cost, "norman_rx").add_callback(_drained)
-                return
+                return None
             # Ring empty: fast-forwarded packets never occupied ring slots —
             # their delivery is fluid credit on the connection, charged (CPU,
             # ring, memory-read stages) at epoch flush, not here.
             fluid = self._consume_fluid(max_msgs)
             if fluid:
                 result.succeed(fluid)
-                return
+                return None
             if not blocking:
                 result.fail(WouldBlock(f"ring empty on :{self.port}"))
-                return
-            woken = self._os.control.block_on_rx(self.conn, self.proc)
-            woken.add_callback(_attempt)
+                return None
+            return self._os.control.block_on_rx(self.conn, self.proc)
 
-        _attempt()
+        _Rearm(_read)()
         return result
 
     def _consume_fluid(self, max_msgs: int) -> List[Message]:
@@ -235,11 +233,3 @@ class NormanEndpoint(Endpoint):
         return machine.ddio_model.read_cost_ns(
             self._os.control.active_hot_bytes(), n_lines
         )
-
-
-def _message_of(pkt: Packet) -> Message:
-    ip = pkt.ipv4
-    l4 = pkt.l4
-    if ip is None or l4 is None:
-        return (pkt.wire_len, IPv4Address(0), 0)
-    return (pkt.payload_len, ip.src, l4.sport)

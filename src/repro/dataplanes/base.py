@@ -55,6 +55,37 @@ def _as_first(burst_sig: Signal, name: str) -> Signal:
     return out
 
 
+class _Rearm:
+    """Run ``step`` now (``_Rearm(step)()``) or once a Signal fires
+    (``sig.add_callback(_Rearm(step))``), and again each time the Signal
+    ``step`` returns fires, until ``step`` returns None.
+
+    The wake-up Signal holds this callback and the callback holds
+    ``step``. ``step`` must reach neither: then a read that polls or
+    blocks any number of times forms no reference cycle, and reference
+    counting alone frees it.
+    """
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: Callable[[], Optional[Signal]]):
+        self.step = step
+
+    def __call__(self, _fired: Optional[Signal] = None) -> None:
+        wake = self.step()
+        if wake is not None:
+            wake.add_callback(self)
+
+
+def _message_of(pkt: Packet) -> Message:
+    """The :data:`Message` a received packet hands the application."""
+    ip = pkt.ipv4
+    l4 = pkt.l4
+    if ip is None or l4 is None:
+        return (pkt.wire_len, IPv4Address(0), 0)
+    return (pkt.payload_len, ip.src, l4.sport)
+
+
 @dataclass
 class QosConfig:
     """A tc-style shaping policy: relative weights per cgroup path, drained

@@ -19,12 +19,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CostModel
-from ..errors import EndpointClosed, UnsupportedOperation
+from ..errors import EndpointClosed, InvalidSyscall, UnsupportedOperation, WouldBlock
 from ..host.copies import LAYER_DMA_DIRECT
 from ..host.machine import Machine
 from ..interpose import InterpositionPoint
 from ..kernel.kernel import Kernel
 from ..net.addresses import IPv4Address, MacAddress
+from ..net.flow import FiveTuple
 from ..net.link import Link
 from ..net.packet import Packet, make_udp, make_tcp
 from ..net.headers import PROTO_TCP
@@ -38,11 +39,12 @@ from ..trace import (
     STAGE_SCHED_WAKE,
     charge,
 )
-from .base import Dataplane, Endpoint, _as_bool
+from .base import Dataplane, Endpoint, _as_bool, _message_of, _Rearm
 
 
 class BypassEndpoint(Endpoint):
-    """An application's raw queue pair."""
+    """An application's raw queue pair (on the hypervisor plane too: its
+    applications see the same rings)."""
 
     def __init__(
         self,
@@ -63,14 +65,10 @@ class BypassEndpoint(Endpoint):
         return self._dp.machine.cpus[self.proc.core_id]
 
     def connect(self, dst_ip: IPv4Address, dport: int) -> Signal:
-        """Purely local: record the peer, install exact steering for the
-        return flow. No kernel involvement at all."""
+        """Purely local: record the peer and steer the return flow. No
+        kernel involvement at all."""
         self.peer = (dst_ip, dport)
-        flow_back = None
-        ft = self._dp.flow_for(self, dst_ip, dport)
-        if ft is not None:
-            flow_back = ft.reversed()
-            self._dp.nic.steering.install(flow_back, self.rings.conn_id)
+        self._dp.steer_return_flow(self, dst_ip, dport)
         done = Signal("bypass.connect")
         self._dp.machine.sim.after(0, done.succeed, True)
         return done
@@ -127,12 +125,14 @@ class BypassEndpoint(Endpoint):
         batch read, per-packet header processing. ``blocking=True`` here
         means *spin until data*: the core stays 100% busy — there is
         nothing to sleep on."""
+        if max_msgs < 1:
+            raise InvalidSyscall(f"recv_burst of {max_msgs} messages")
         result = Signal("bypass.recv_burst")
 
-        def _attempt(_sig: Optional[Signal] = None) -> None:
+        def _poll() -> Optional[Signal]:
             if self.closed:
                 result.fail(EndpointClosed(f"endpoint :{self.port} closed"))
-                return
+                return None
             pkts = self.rings.rx.consume_burst(max_msgs)
             if pkts:
                 cost = sum(
@@ -151,30 +151,20 @@ class BypassEndpoint(Endpoint):
                     result.succeed([_message_of(p) for p in pkts])
 
                 self._core.execute(cost, "bypass_rx").add_callback(_drained)
-                return
+                return None
             if not blocking:
-                from ..errors import WouldBlock
-
                 result.fail(WouldBlock(f"ring empty on :{self.port}"))
-                return
+                return None
             self.polls += 1
-            self._core.execute(
+            return self._core.execute(
                 self._dp.machine.tracer.loose(
                     STAGE_SCHED_WAKE, self._dp.costs.poll_iteration_ns, label="poll"
                 ),
                 "poll",
-            ).add_callback(_attempt)
+            )
 
-        _attempt()
+        _Rearm(_poll)()
         return result
-
-
-def _message_of(pkt: Packet) -> Tuple[int, IPv4Address, int]:
-    ip = pkt.ipv4
-    l4 = pkt.l4
-    if ip is None or l4 is None:
-        return (pkt.wire_len, IPv4Address(0), 0)
-    return (pkt.payload_len, ip.src, l4.sport)
 
 
 class BypassDataplane(Dataplane):
@@ -182,6 +172,8 @@ class BypassDataplane(Dataplane):
 
     name = "bypass"
     supports_blocking_io = False
+    #: Span label of the TX fetch's wait, after the pipeline latency.
+    tx_fetch_label = "desc_fetch"
 
     def __init__(
         self,
@@ -229,13 +221,7 @@ class BypassDataplane(Dataplane):
         def _fetch() -> None:
             pkts = rings.tx.consume_burst(count)
             if pkts:
-                # Hardware fetch straight from app-owned rings: no CPU copy.
-                self.machine.dma.account_placement(
-                    LAYER_DMA_DIRECT,
-                    sum(p.wire_len for p in pkts),
-                    fetch_ns,
-                    ops=len(pkts),
-                )
+                self._account_tx_fetch(sum(p.wire_len for p in pkts), fetch_ns, len(pkts))
             now = self.machine.sim.now
             for pkt in pkts:
                 if pkt.meta.trace is not None:
@@ -243,10 +229,18 @@ class BypassDataplane(Dataplane):
                     # (descriptor fetch, burst siblings) as DMA wait.
                     charge(STAGE_NIC_PIPELINE, self.costs.nic_pipeline_ns,
                            pkt.meta.trace, cpu=False, label="tx_pipeline")
-                    pkt.meta.trace.fill_gap(STAGE_DMA, now, label="desc_fetch")
-                self.nic.tx(pkt)
+                    pkt.meta.trace.fill_gap(STAGE_DMA, now, label=self.tx_fetch_label)
+                self._transmit(pkt, now)
 
         self.machine.sim.after(delay, _fetch)
+
+    def _account_tx_fetch(self, nbytes: int, fetch_ns: int, ops: int) -> None:
+        """Hardware fetch straight from app-owned rings: no CPU copy."""
+        self.machine.dma.account_placement(LAYER_DMA_DIRECT, nbytes, fetch_ns, ops=ops)
+
+    def _transmit(self, pkt: Packet, now: int) -> None:
+        """Put one fetched TX packet on the wire."""
+        self.nic.tx(pkt)
 
     # --- application surface ------------------------------------------------------
 
@@ -292,10 +286,11 @@ class BypassDataplane(Dataplane):
         maker = make_tcp if ep.proto == PROTO_TCP else make_udp
         return maker(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport, payload_len)
 
-    def flow_for(self, ep: BypassEndpoint, dst_ip: IPv4Address, dport: int):
-        from ..net.flow import FiveTuple
-
-        return FiveTuple(ep.proto, self.host_ip, ep.port, dst_ip, dport)
+    def steer_return_flow(self, ep: BypassEndpoint, dst_ip: IPv4Address, dport: int) -> None:
+        """The app installs an exact NIC steering entry for its return
+        flow — one steering commit per connect."""
+        flow = FiveTuple(ep.proto, self.host_ip, ep.port, dst_ip, dport)
+        self.nic.steering.install(flow.reversed(), ep.rings.conn_id)
 
     # --- the administrative surface refuses everything (inherited) -----------------
 

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import CostModel
-from ..errors import EndpointClosed, UnsupportedOperation, WouldBlock
+from ..errors import EndpointClosed, InvalidSyscall, UnsupportedOperation, WouldBlock
 from ..host.machine import Machine
 from ..interpose import InterpositionPoint
 from ..kernel.kernel import Kernel
@@ -87,6 +87,8 @@ class SidecarEndpoint(Endpoint):
         return self._dp.app_tx_burst(self, pkts)
 
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
+        if max_msgs < 1:
+            raise InvalidSyscall(f"recv_burst of {max_msgs} messages")
         result = Signal("sidecar.recv_burst")
         if self.closed:
             self._dp.machine.sim.after(0, result.fail, EndpointClosed("closed"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from ..config import CostModel
-from ..errors import KernelError, WouldBlock
+from ..errors import InvalidSyscall, KernelError, WouldBlock
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.packet import Packet, make_tcp, make_udp
@@ -312,8 +312,11 @@ class KernelNetStack:
         on an empty queue, wake once and drain whatever the burst brought,
         like ``MSG_WAITFORONE``). The value is the list of messages; a
         burst of one is the classic ``recvfrom(2)``. A non-blocking call
-        on an empty queue fails with :class:`WouldBlock`.
+        on an empty queue fails with :class:`WouldBlock`; ``max_msgs`` below
+        one raises :class:`InvalidSyscall` (EINVAL) before any work.
         """
+        if max_msgs < 1:
+            raise InvalidSyscall(f"recvmmsg of {max_msgs} messages")
         result = Signal("recvmmsg")
         if sock.rx_queue:
             msgs = [sock.rx_queue.popleft() for _ in range(min(max_msgs, len(sock.rx_queue)))]

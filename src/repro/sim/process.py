@@ -70,14 +70,22 @@ class SimProcess:
     # --- engine plumbing ----------------------------------------------------
 
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
+        # A thrown exception the generator handles keeps the traceback the
+        # throw gave it, and from Python 3.12 that traceback holds this
+        # frame and its callers, which hold the exception (a reference
+        # cycle per failed non-blocking read). It is dropped once handled;
+        # one that escapes keeps it for the error report.
         if self.finished:
             return
         try:
             if throw_exc is not None:
                 yielded = self._gen.throw(throw_exc)
+                throw_exc.__traceback__ = None
             else:
                 yielded = self._gen.send(send_value)
         except StopIteration as stop:
+            if throw_exc is not None:
+                throw_exc.__traceback__ = None
             self.done.succeed(getattr(stop, "value", None))
             return
         except BaseException as exc:  # noqa: BLE001 - deliberate fan-out

@@ -108,8 +108,11 @@ class TestBypassSpecifics:
         with pytest.raises(NicResourceExhausted):
             tb.dataplane.open_endpoint(a, PROTO_UDP, 6001)
 
-    def test_total_polls_accounting(self):
-        tb = Testbed(BypassDataplane)
+    @pytest.mark.parametrize("plane", [BypassDataplane, HypervisorDataplane],
+                             ids=lambda c: c.name)
+    def test_total_polls_accounting(self, plane):
+        """The hypervisor inherits bypass's endpoint and its poll count."""
+        tb = Testbed(plane)
         proc = tb.spawn("srv", "bob", core_id=1)
         ep = tb.dataplane.open_endpoint(proc, PROTO_UDP, 7000)
 

@@ -66,6 +66,41 @@ class TestSignals:
         sim.run()
         assert caught == ["io error"]
 
+    @pytest.mark.parametrize("then", ["yield", "return"])
+    def test_handled_exception_drops_its_traceback(self, then):
+        """From Python 3.12 the traceback a throw attaches holds the
+        engine frames that hold the exception: a reference cycle per
+        handled throw, unless the traceback goes once it is handled."""
+        sim = Simulator()
+        doomed = Signal()
+
+        def worker():
+            try:
+                yield doomed
+            except ValueError:
+                pass
+            if then == "yield":
+                yield 10
+
+        SimProcess(sim, worker())
+        sim.after(5, doomed.fail, ValueError("io error"))
+        sim.run()
+        assert doomed.exception.__traceback__ is None
+
+    def test_escaping_exception_keeps_its_traceback(self):
+        sim = Simulator()
+        doomed = Signal()
+
+        def worker():
+            yield doomed
+
+        proc = SimProcess(sim, worker())
+        proc.done.add_callback(lambda s: None)  # mark as awaited
+        sim.after(5, doomed.fail, ValueError("io error"))
+        sim.run()
+        assert proc.done.exception is doomed.exception
+        assert doomed.exception.__traceback__ is not None
+
 
 class TestComposition:
     def test_waiting_on_child_process_gets_return_value(self):

@@ -61,8 +61,7 @@ def test_scan_finds_the_known_charging_sites():
     files = {r for r, _n, _l, _w in sites}
     for expected in ("kernel/netstack.py", "kernel/syscall.py",
                      "dataplanes/sidecar.py", "dataplanes/bypass.py",
-                     "dataplanes/hypervisor.py", "core/library.py",
-                     "apps/workers.py"):
+                     "core/library.py", "apps/workers.py"):
         assert expected in files, expected
 
 
