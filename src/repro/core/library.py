@@ -107,23 +107,9 @@ class NormanEndpoint(Endpoint):
         # MMIO nanoseconds land on the lead packet's trace).
         cost += charge(STAGE_DMA, self._os.machine.dma.mmio_write_cost(),
                        lead_ctx, label="doorbell")
-        posted = 0
-
-        def _post() -> Optional[Signal]:
-            nonlocal posted
-            if self.closed:
-                result.succeed(posted)
-                return None
-            posted_now = self.conn.rings.tx.post_burst(pkts[posted:])
-            if posted_now:
-                posted += posted_now
-                self._os.nic.doorbell(self.conn)
-            if posted >= len(pkts):
-                result.succeed(posted)
-                return None
-            return self._os.control.block_on_tx(self.conn, self.proc)
-
-        self._core.execute(cost, "norman_tx", ctx=lead_ctx).add_callback(_Rearm(_post))
+        self._core.execute(cost, "norman_tx", ctx=lead_ctx).add_callback(
+            _NormanSend(self, pkts, result)
+        )
         return result
 
     def _build(self, dst_ip: IPv4Address, dport: int, payload_len: int) -> Packet:
@@ -151,52 +137,7 @@ class NormanEndpoint(Endpoint):
                 self.proc, self.conn.sock, max_msgs, blocking=blocking
             )
         result = Signal("norman.recv_burst")
-
-        def _read() -> Optional[Signal]:
-            if self.closed:
-                result.fail(EndpointClosed(f"endpoint :{self.port} closed"))
-                return None
-            pkts = self.conn.rings.rx.consume_burst(max_msgs)
-            if pkts:
-                # A flow can straddle fidelity modes mid-burst (exact
-                # packets in the ring, absorbed ones as credit): serve
-                # both under the one call, ring first.
-                fluid = (
-                    self._consume_fluid(max_msgs - len(pkts))
-                    if len(pkts) < max_msgs else []
-                )
-                cost = sum(
-                    charge(STAGE_RING, self._costs.bypass_rx_pkt_ns,
-                           p.meta.trace, label="rx_desc")
-                    + charge(STAGE_COHERENCE, self._read_cost(p),
-                             p.meta.trace, label="mem_read")
-                    for p in pkts
-                )
-
-                def _drained(_s: Signal) -> None:
-                    now = self._os.machine.sim.now
-                    for p in pkts:
-                        if p.meta.trace is not None:
-                            # Ring residency + wakeup wait, then done.
-                            p.meta.trace.fill_gap(STAGE_RING, now, label="ring_wait")
-                            p.meta.trace.close(now)
-                    result.succeed([_message_of(p) for p in pkts] + fluid)
-
-                self._core.execute(cost, "norman_rx").add_callback(_drained)
-                return None
-            # Ring empty: fast-forwarded packets never occupied ring slots —
-            # their delivery is fluid credit on the connection, charged (CPU,
-            # ring, memory-read stages) at epoch flush, not here.
-            fluid = self._consume_fluid(max_msgs)
-            if fluid:
-                result.succeed(fluid)
-                return None
-            if not blocking:
-                result.fail(WouldBlock(f"ring empty on :{self.port}"))
-                return None
-            return self._os.control.block_on_rx(self.conn, self.proc)
-
-        _Rearm(_read)()
+        _NormanRead(self, result, max_msgs, blocking)()
         return result
 
     def _consume_fluid(self, max_msgs: int) -> List[Message]:
@@ -233,3 +174,94 @@ class NormanEndpoint(Endpoint):
         return machine.ddio_model.read_cost_ns(
             self._os.control.active_hot_bytes(), n_lines
         )
+
+
+class _NormanSend(_Rearm):
+    """One ``send_raw_burst`` once its userspace work is done: post what
+    fits and ring the doorbell for it, then wait on the ``tx_drained``
+    notification and post the rest."""
+
+    __slots__ = ("ep", "pkts", "result", "posted")
+
+    def __init__(self, ep: NormanEndpoint, pkts: Sequence[Packet], result: Signal):
+        self.ep = ep
+        self.pkts = pkts
+        self.result = result
+        self.posted = 0
+
+    def step(self) -> Optional[Signal]:
+        ep = self.ep
+        if ep.closed:
+            self.result.succeed(self.posted)
+            return None
+        posted_now = ep.conn.rings.tx.post_burst(self.pkts[self.posted:])
+        if posted_now:
+            self.posted += posted_now
+            ep._os.nic.doorbell(ep.conn)
+        if self.posted >= len(self.pkts):
+            self.result.succeed(self.posted)
+            return None
+        return ep._os.control.block_on_tx(ep.conn, ep.proc)
+
+
+class _NormanRead(_Rearm):
+    """One ``recv_burst``: drain the RX ring (or fast-forward credit) and
+    read the packets on the application core, or block on the
+    ``rx_ready`` notification and try again."""
+
+    __slots__ = ("ep", "result", "max_msgs", "blocking", "pkts", "fluid")
+
+    def __init__(self, ep: NormanEndpoint, result: Signal, max_msgs: int, blocking: bool):
+        self.ep = ep
+        self.result = result
+        self.max_msgs = max_msgs
+        self.blocking = blocking
+
+    def step(self) -> Optional[Signal]:
+        ep = self.ep
+        if ep.closed:
+            self.result.fail(EndpointClosed(f"endpoint :{ep.port} closed"))
+            return None
+        max_msgs = self.max_msgs
+        pkts = ep.conn.rings.rx.consume_burst(max_msgs)
+        if pkts:
+            # A flow can straddle fidelity modes mid-burst (exact packets
+            # in the ring, absorbed ones as credit): serve both under the
+            # one call, ring first.
+            self.pkts = pkts
+            self.fluid = (
+                ep._consume_fluid(max_msgs - len(pkts)) if len(pkts) < max_msgs else None
+            )
+            cost = sum(
+                charge(STAGE_RING, ep._costs.bypass_rx_pkt_ns,
+                       p.meta.trace, label="rx_desc")
+                + charge(STAGE_COHERENCE, ep._read_cost(p),
+                         p.meta.trace, label="mem_read")
+                for p in pkts
+            )
+            ep._core.execute(cost, "norman_rx").add_callback(self.drained)
+            return None
+        # Ring empty: fast-forwarded packets never occupied ring slots —
+        # their delivery is fluid credit on the connection, charged (CPU,
+        # ring, memory-read stages) at epoch flush, not here.
+        fluid = ep._consume_fluid(max_msgs)
+        if fluid:
+            self.result.succeed(fluid)
+            return None
+        if not self.blocking:
+            self.result.fail(WouldBlock(f"ring empty on :{ep.port}"))
+            return None
+        return ep._os.control.block_on_rx(ep.conn, ep.proc)
+
+    def drained(self, _s: Signal) -> None:
+        now = self.ep._os.machine.sim.now
+        pkts = self.pkts
+        for p in pkts:
+            if p.meta.trace is not None:
+                # Ring residency + wakeup wait, then done.
+                p.meta.trace.fill_gap(STAGE_RING, now, label="ring_wait")
+                p.meta.trace.close(now)
+        msgs = [_message_of(p) for p in pkts]
+        if self.fluid:
+            msgs += self.fluid
+        self.result.succeed(msgs)

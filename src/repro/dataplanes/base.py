@@ -27,49 +27,65 @@ Message = Tuple[int, IPv4Address, int]  # (payload_len, src_ip, sport)
 PacketFilter = Callable[[Packet], bool]
 
 
+class _AsBool(Signal):
+    """A send_burst count signal adapted to the per-packet bool contract.
+    The adapter is itself the burst signal's callback, so a send of one
+    costs the GC no closure, cell or callback list."""
+
+    __slots__ = ()
+
+    def __call__(self, burst: Signal) -> None:
+        if burst.failed:
+            self.fail(burst.exception)
+        else:
+            self.succeed(bool(burst.value))
+
+
+class _AsFirst(Signal):
+    """A recv_burst message-list signal adapted to the single-message
+    contract, as its own callback (see :class:`_AsBool`)."""
+
+    __slots__ = ()
+
+    def __call__(self, burst: Signal) -> None:
+        if burst.failed:
+            self.fail(burst.exception)
+        else:
+            self.succeed(burst.value[0])
+
+
 def _as_bool(burst_sig: Signal, name: str) -> Signal:
     """Adapt a send_burst count signal to the per-packet bool contract."""
-    out = Signal(name)
-
-    def _done(sig: Signal) -> None:
-        if sig.failed:
-            out.fail(sig.exception)
-        else:
-            out.succeed(bool(sig.value))
-
-    burst_sig.add_callback(_done)
+    out = _AsBool(name)
+    burst_sig.add_callback(out)
     return out
 
 
 def _as_first(burst_sig: Signal, name: str) -> Signal:
     """Adapt a recv_burst message-list signal to the single-message contract."""
-    out = Signal(name)
-
-    def _done(sig: Signal) -> None:
-        if sig.failed:
-            out.fail(sig.exception)
-        else:
-            out.succeed(sig.value[0])
-
-    burst_sig.add_callback(_done)
+    out = _AsFirst(name)
+    burst_sig.add_callback(out)
     return out
 
 
 class _Rearm:
-    """Run ``step`` now (``_Rearm(step)()``) or once a Signal fires
-    (``sig.add_callback(_Rearm(step))``), and again each time the Signal
-    ``step`` returns fires, until ``step`` returns None.
+    """Base of a per-call continuation that polls or blocks: the subclass
+    keeps the call's state in its slots and defines ``step``, one attempt
+    that returns the Signal to wait on, or None when the call is done.
+    Calling the object runs ``step``, so call it to start now or add it
+    to a Signal to start once that fires; it then runs ``step`` again
+    each time the Signal ``step`` returned fires.
 
-    The wake-up Signal holds this callback and the callback holds
-    ``step``. ``step`` must reach neither: then a read that polls or
-    blocks any number of times forms no reference cycle, and reference
-    counting alone frees it.
+    The wake-up Signal holds the object and the object must not reach it:
+    then a call that polls or blocks any number of times forms no
+    reference cycle, reference counting alone frees it, and re-arming
+    allocates nothing.
     """
 
-    __slots__ = ("step",)
+    __slots__ = ()
 
-    def __init__(self, step: Callable[[], Optional[Signal]]):
-        self.step = step
+    def step(self) -> Optional[Signal]:
+        raise NotImplementedError
 
     def __call__(self, _fired: Optional[Signal] = None) -> None:
         wake = self.step()

@@ -108,16 +108,9 @@ class BypassEndpoint(Endpoint):
         cost += charge(STAGE_DMA, self._dp.costs.mmio_write_ns, lead_ctx,
                        label="doorbell")
 
-        def _done(_sig: Signal) -> None:
-            if self.closed:
-                result.succeed(0)
-                return
-            posted = self.rings.tx.post_burst(pkts)
-            if posted:
-                self._dp.nic_consume_tx(self.rings, posted)
-            result.succeed(posted)
-
-        self._core.execute(cost, "bypass_tx", ctx=lead_ctx).add_callback(_done)
+        self._core.execute(cost, "bypass_tx", ctx=lead_ctx).add_callback(
+            _RingPost(self, pkts, result)
+        )
         return result
 
     def recv_burst(self, max_msgs: int, blocking: bool = True) -> Signal:
@@ -128,43 +121,81 @@ class BypassEndpoint(Endpoint):
         if max_msgs < 1:
             raise InvalidSyscall(f"recv_burst of {max_msgs} messages")
         result = Signal("bypass.recv_burst")
-
-        def _poll() -> Optional[Signal]:
-            if self.closed:
-                result.fail(EndpointClosed(f"endpoint :{self.port} closed"))
-                return None
-            pkts = self.rings.rx.consume_burst(max_msgs)
-            if pkts:
-                cost = sum(
-                    charge(STAGE_RING, self._dp.costs.bypass_rx_pkt_ns,
-                           p.meta.trace, label="rx_desc")
-                    for p in pkts
-                )
-
-                def _drained(_s: Signal) -> None:
-                    now = self._dp.machine.sim.now
-                    for p in pkts:
-                        if p.meta.trace is not None:
-                            # Ring residency + poll/batch wait, then done.
-                            p.meta.trace.fill_gap(STAGE_RING, now, label="ring_wait")
-                            p.meta.trace.close(now)
-                    result.succeed([_message_of(p) for p in pkts])
-
-                self._core.execute(cost, "bypass_rx").add_callback(_drained)
-                return None
-            if not blocking:
-                result.fail(WouldBlock(f"ring empty on :{self.port}"))
-                return None
-            self.polls += 1
-            return self._core.execute(
-                self._dp.machine.tracer.loose(
-                    STAGE_SCHED_WAKE, self._dp.costs.poll_iteration_ns, label="poll"
-                ),
-                "poll",
-            )
-
-        _Rearm(_poll)()
+        _RingPoll(self, result, max_msgs, blocking)()
         return result
+
+
+class _RingPost:
+    """The rest of a ``send_raw_burst`` once its userspace work is done:
+    post the burst and hand what fit to the NIC."""
+
+    __slots__ = ("ep", "pkts", "result")
+
+    def __init__(self, ep: BypassEndpoint, pkts: Sequence[Packet], result: Signal):
+        self.ep = ep
+        self.pkts = pkts
+        self.result = result
+
+    def __call__(self, _sig: Signal) -> None:
+        ep = self.ep
+        if ep.closed:
+            self.result.succeed(0)
+            return
+        posted = ep.rings.tx.post_burst(self.pkts)
+        if posted:
+            ep._dp.nic_consume_tx(ep.rings, posted)
+        self.result.succeed(posted)
+
+
+class _RingPoll(_Rearm):
+    """One ``recv_burst``: drain the RX ring and read the descriptors on
+    the application core, or, blocking, spin one poll iteration on that
+    core and try again."""
+
+    __slots__ = ("ep", "result", "max_msgs", "blocking", "pkts")
+
+    def __init__(self, ep: BypassEndpoint, result: Signal, max_msgs: int, blocking: bool):
+        self.ep = ep
+        self.result = result
+        self.max_msgs = max_msgs
+        self.blocking = blocking
+
+    def step(self) -> Optional[Signal]:
+        ep = self.ep
+        if ep.closed:
+            self.result.fail(EndpointClosed(f"endpoint :{ep.port} closed"))
+            return None
+        pkts = ep.rings.rx.consume_burst(self.max_msgs)
+        dp = ep._dp
+        if pkts:
+            self.pkts = pkts
+            cost = sum(
+                charge(STAGE_RING, dp.costs.bypass_rx_pkt_ns,
+                       p.meta.trace, label="rx_desc")
+                for p in pkts
+            )
+            ep._core.execute(cost, "bypass_rx").add_callback(self.drained)
+            return None
+        if not self.blocking:
+            self.result.fail(WouldBlock(f"ring empty on :{ep.port}"))
+            return None
+        ep.polls += 1
+        return ep._core.execute(
+            dp.machine.tracer.loose(
+                STAGE_SCHED_WAKE, dp.costs.poll_iteration_ns, label="poll"
+            ),
+            "poll",
+        )
+
+    def drained(self, _s: Signal) -> None:
+        now = self.ep._dp.machine.sim.now
+        pkts = self.pkts
+        for p in pkts:
+            if p.meta.trace is not None:
+                # Ring residency + poll/batch wait, then done.
+                p.meta.trace.fill_gap(STAGE_RING, now, label="ring_wait")
+                p.meta.trace.close(now)
+        self.result.succeed([_message_of(p) for p in pkts])
 
 
 class BypassDataplane(Dataplane):

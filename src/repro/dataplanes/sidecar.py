@@ -28,7 +28,7 @@ from ..net.headers import PROTO_TCP
 from ..net.link import Link
 from ..net.packet import Packet, make_tcp, make_udp
 from ..nic.base import BasicNic
-from ..sim import Signal
+from ..sim import Signal, SucceedWith
 from ..trace import (
     STAGE_COHERENCE,
     STAGE_FASTPATH,
@@ -91,48 +91,55 @@ class SidecarEndpoint(Endpoint):
             raise InvalidSyscall(f"recv_burst of {max_msgs} messages")
         result = Signal("sidecar.recv_burst")
         if self.closed:
-            self._dp.machine.sim.after(0, result.fail, EndpointClosed("closed"))
+            self._dp.machine.sim.after(0, Signal.fail, result, EndpointClosed("closed"))
             return result
         if self.rx_queue:
             msgs = [self.rx_queue.popleft() for _ in range(min(max_msgs, len(self.rx_queue)))]
-            drain = self._dp.machine.tracer.loose(
-                STAGE_RING,
-                len(msgs) * self._dp.costs.bypass_rx_pkt_ns,
-                label="rx_drain",
-            )
-            self._core.execute(drain, "rx").add_callback(
-                lambda _s: result.succeed(msgs)
-            )
+            self._drain(msgs, result)
             return result
         if not blocking:
-            self._dp.machine.sim.after(0, result.fail, WouldBlock("queue empty"))
+            self._dp.machine.sim.after(0, Signal.fail, result, WouldBlock("queue empty"))
             return result
         woken = self._dp.kernel.scheduler.block(self.proc, f"sidecar:{self.port}")
         self._dp.register_waiter(self, woken)
-
-        def _after_wake(sig: Signal) -> None:
-            msgs = [sig.value]
-            while self.rx_queue and len(msgs) < max_msgs:
-                msgs.append(self.rx_queue.popleft())
-            if self._dp.costs.trace:
-                # Bugfix (gated on ``costs.trace`` to keep the seed event
-                # trace byte-identical): the wake path used to hand the
-                # drained messages to the app for free, while the queued
-                # path above charges the per-message descriptor read on the
-                # app core. See docs/tracing.md.
-                drain = self._dp.machine.tracer.loose(
-                    STAGE_RING,
-                    len(msgs) * self._dp.costs.bypass_rx_pkt_ns,
-                    label="rx_drain",
-                )
-                self._core.execute(drain, "rx").add_callback(
-                    lambda _s: result.succeed(msgs)
-                )
-                return
-            result.succeed(msgs)
-
-        woken.add_callback(_after_wake)
+        woken.add_callback(_WokenRead(self, max_msgs, result))
         return result
+
+    def _drain(self, msgs: List[Message], result: Signal) -> None:
+        """Read ``msgs``' descriptors on the app core, then hand them over."""
+        drain = self._dp.machine.tracer.loose(
+            STAGE_RING,
+            len(msgs) * self._dp.costs.bypass_rx_pkt_ns,
+            label="rx_drain",
+        )
+        self._core.execute(drain, "rx").add_callback(SucceedWith(result, msgs))
+
+
+class _WokenRead:
+    """The rest of a ``recv_burst`` that blocked: woken with the first
+    message, take what else the sidecar queued."""
+
+    __slots__ = ("ep", "max_msgs", "result")
+
+    def __init__(self, ep: SidecarEndpoint, max_msgs: int, result: Signal):
+        self.ep = ep
+        self.max_msgs = max_msgs
+        self.result = result
+
+    def __call__(self, woken: Signal) -> None:
+        ep = self.ep
+        msgs = [woken.value]
+        while ep.rx_queue and len(msgs) < self.max_msgs:
+            msgs.append(ep.rx_queue.popleft())
+        if ep._dp.costs.trace:
+            # Bugfix (gated on ``costs.trace`` to keep the seed event
+            # trace byte-identical): the wake path used to hand the
+            # drained messages to the app for free, while the queued
+            # path charges the per-message descriptor read on the app
+            # core. See docs/tracing.md.
+            ep._drain(msgs, self.result)
+            return
+        self.result.succeed(msgs)
 
 
 class SidecarDataplane(Dataplane):

@@ -52,7 +52,9 @@ class Core:
         self._free_at = end
         self.busy_ns += cost_ns
         done = Signal(f"core{self.core_id}.exec.{label}")
-        self.sim.at(end, done.succeed, end)
+        # The signal rides in the event's arguments: a bound done.succeed
+        # would be one more object per completion for the GC to track.
+        self.sim.at(end, Signal.succeed, done, end)
         return done
 
     def utilization(self, elapsed_ns: Optional[int] = None) -> float:

@@ -16,7 +16,7 @@ from ..errors import InvalidSyscall, KernelError, WouldBlock
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.packet import Packet, make_tcp, make_udp
-from ..sim import MetricSet, Signal, Simulator
+from ..sim import MetricSet, Signal, Simulator, SucceedWith
 from ..trace import (
     STAGE_FASTPATH,
     STAGE_NETFILTER,
@@ -330,33 +330,18 @@ class KernelNetStack:
             if n > 1:
                 self.syscalls.record_batched(n)
             done = self.syscalls.invoke(proc, "recvfrom" if n == 1 else "recvmmsg", work)
-            done.add_callback(lambda _s: result.succeed(msgs))
+            done.add_callback(SucceedWith(result, msgs))
             return result
         if not blocking:
             self.metrics.counter("rx_wouldblock").inc()
-            self.sim.after(0, result.fail, WouldBlock(f"no data on port {sock.port}"))
+            self.sim.after(0, Signal.fail, result,
+                           WouldBlock(f"no data on port {sock.port}"))
             return result
         if sock.port in self._rx_waiters:
             raise KernelError(f"port {sock.port} already has a blocked reader")
         woken = self.scheduler.block(proc, reason=f"recv:{sock.port}")
         self._rx_waiters[sock.port] = (proc, woken)
-
-        def _after_wake(sig: Signal) -> None:
-            msgs = [sig.value]
-            while sock.rx_queue and len(msgs) < max_msgs:
-                msgs.append(sock.rx_queue.popleft())
-            work = sum(self._rx_payload(proc, sock, m[0]) for m in msgs)
-            if len(msgs) > 1:
-                work += self._loose(
-                    STAGE_SYSCALL,
-                    self.costs.syscall_burst_ns(len(msgs)) - self.costs.syscall_ns,
-                    label="batch_surplus",
-                )
-            self.cpus[proc.core_id].execute(work, "rx_copy").add_callback(
-                lambda _s: result.succeed(msgs)
-            )
-
-        woken.add_callback(_after_wake)
+        woken.add_callback(_WokenRecv(self, proc, sock, max_msgs, result))
         return result
 
     def deliver_burst(self, pkts: Sequence[Packet]) -> None:
@@ -472,3 +457,37 @@ class KernelNetStack:
 
     def serves_vip(self, ip: IPv4Address) -> bool:
         return ip in self.vips
+
+
+class _WokenRecv:
+    """The rest of a ``recvmmsg`` that blocked: woken with the first
+    message, take what else the burst queued (``MSG_WAITFORONE``) and copy
+    it out on the reader's core."""
+
+    __slots__ = ("stack", "proc", "sock", "max_msgs", "result")
+
+    def __init__(self, stack: KernelNetStack, proc: Process, sock: KernelSocket,
+                 max_msgs: int, result: Signal):
+        self.stack = stack
+        self.proc = proc
+        self.sock = sock
+        self.max_msgs = max_msgs
+        self.result = result
+
+    def __call__(self, woken: Signal) -> None:
+        stack = self.stack
+        proc = self.proc
+        sock = self.sock
+        msgs = [woken.value]
+        while sock.rx_queue and len(msgs) < self.max_msgs:
+            msgs.append(sock.rx_queue.popleft())
+        work = sum(stack._rx_payload(proc, sock, m[0]) for m in msgs)
+        if len(msgs) > 1:
+            work += stack._loose(
+                STAGE_SYSCALL,
+                stack.costs.syscall_burst_ns(len(msgs)) - stack.costs.syscall_ns,
+                label="batch_surplus",
+            )
+        stack.cpus[proc.core_id].execute(work, "rx_copy").add_callback(
+            SucceedWith(self.result, msgs)
+        )

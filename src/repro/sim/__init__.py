@@ -9,7 +9,7 @@ NIC engines are written.
 """
 
 from .engine import EventHandle, Simulator
-from .events import AllOf, AnyOf, Signal
+from .events import AllOf, AnyOf, Signal, SucceedWith
 from .fastforward import FastForwardController, FlowProfile
 from .metrics import Counter, Histogram, MetricSet, RateMeter, TimeSeries
 from .process import SimProcess
@@ -28,6 +28,7 @@ __all__ = [
     "Signal",
     "SimProcess",
     "Simulator",
+    "SucceedWith",
     "TimeSeries",
     "make_rng",
 ]

@@ -183,8 +183,13 @@ class Simulator:
         Returns the simulated time afterwards. When stopping at ``until``,
         the clock is advanced to ``until`` even if no event fires exactly
         there, so back-to-back ``run(until=...)`` calls behave like wall
-        clock segments.
+        clock segments. An ``until`` in the past raises, as :meth:`at` does
+        for a past time; the clock would otherwise run backwards.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until t={until} ns; now is {self._now} ns"
+            )
         fired = 0
         heap = self._heap
         while max_events is None or fired < max_events:

@@ -7,13 +7,15 @@ threads, NICs succeed them to report completions.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from ..errors import SimulationError
 
 _PENDING = "pending"
 _SUCCEEDED = "succeeded"
 _FAILED = "failed"
+
+Callback = Callable[["Signal"], None]
 
 
 class Signal:
@@ -27,7 +29,10 @@ class Signal:
         self._state = _PENDING
         self._value: Any = None
         self._exc: Optional[BaseException] = None
-        self._callbacks: List[Callable[["Signal"], None]] = []
+        # None, the one callback, or a list once there are two or more:
+        # most signals have one waiter, and a list per signal is an object
+        # the cyclic GC would track for every pending read.
+        self._callbacks: Union[None, Callback, List[Callback]] = None
 
     # --- state ----------------------------------------------------------
 
@@ -77,19 +82,48 @@ class Signal:
         return self
 
     def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-    def add_callback(self, cb: Callable[["Signal"], None]) -> None:
-        """Run ``cb(self)`` on resolution (immediately if already resolved)."""
-        if self.triggered:
-            cb(self)
+        callbacks = self._callbacks
+        if callbacks is None:
+            return
+        self._callbacks = None
+        if type(callbacks) is list:
+            for cb in callbacks:
+                cb(self)
         else:
-            self._callbacks.append(cb)
+            callbacks(self)
+
+    def add_callback(self, cb: Callback) -> None:
+        """Run ``cb(self)`` on resolution (immediately if already resolved).
+        Callbacks run in the order they were added."""
+        if self._state != _PENDING:
+            cb(self)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = cb
+        elif type(callbacks) is list:
+            callbacks.append(cb)
+        else:
+            self._callbacks = [callbacks, cb]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Signal {self.name!r} {self._state}>"
+
+
+class SucceedWith:
+    """A callback that succeeds ``target`` with ``value`` once the signal it
+    is added to fires: ``done.add_callback(SucceedWith(result, msgs))``.
+    One slotted object where a closure would take a function, its cell
+    tuple and a cell per captured name."""
+
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: Signal, value: Any):
+        self.target = target
+        self.value = value
+
+    def __call__(self, _fired: Signal) -> None:
+        self.target.succeed(self.value)
 
 
 class AllOf(Signal):

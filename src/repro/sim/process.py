@@ -89,7 +89,7 @@ class SimProcess:
             self.done.succeed(getattr(stop, "value", None))
             return
         except BaseException as exc:  # noqa: BLE001 - deliberate fan-out
-            if self.done._callbacks:  # someone is waiting; deliver there
+            if self.done._callbacks is not None:  # someone is waiting; deliver there
                 self.done.fail(exc)
                 return
             self.done.fail(exc)

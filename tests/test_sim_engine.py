@@ -101,6 +101,24 @@ class TestRunUntil:
         sim.run(until=1_000)
         assert sim.now == 1_000
 
+    def test_run_until_in_the_past_raises_and_leaves_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1_000, fired.append, 1_000)
+        sim.at(5_000, fired.append, 5_000)
+        sim.run(until=2_000)
+        assert fired == [1_000] and sim.now == 2_000
+        with pytest.raises(SimulationError):
+            sim.run(until=500)
+        # Nothing fired, the clock did not run backwards, and a new event
+        # cannot land behind the one that already fired at 1,000.
+        assert sim.now == 2_000 and sim.pending == 1
+        sim.after(10, fired.append, "after")
+        sim.run(until=2_000)
+        sim.run()
+        assert fired == [1_000, "after", 5_000]
+        assert sim.now == 5_000
+
     def test_max_events_bound(self):
         sim = Simulator()
         for _ in range(10):
