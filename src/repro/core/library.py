@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..errors import EndpointClosed, InvalidSyscall, UnsupportedOperation, WouldBlock
 from ..net.addresses import IPv4Address
 from ..net.headers import PROTO_TCP
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet, UdpTemplate, make_tcp, make_udp
 from ..sim import Signal
 from ..trace import STAGE_COHERENCE, STAGE_DMA, STAGE_RING, charge
 from ..dataplanes.base import Endpoint, Message, _as_bool, _message_of, _Rearm
@@ -113,12 +113,21 @@ class NormanEndpoint(Endpoint):
         return result
 
     def _build(self, dst_ip: IPv4Address, dport: int, payload_len: int) -> Packet:
-        dst_mac = self._os.kernel.mac_for(dst_ip)
-        maker = make_tcp if self.proto == PROTO_TCP else make_udp
-        return maker(
-            self._os.kernel.host_mac, dst_mac, self._os.kernel.host_ip, dst_ip,
-            self.port, dport, payload_len,
-        )
+        kernel = self._os.kernel
+        # As on the kernel path, the MAC is resolved on every send and is
+        # part of the shape. Only UDP sends set a template.
+        dst_mac = kernel.mac_for(dst_ip)
+        key = (dst_ip, dst_mac, dport, payload_len)
+        template = self.udp_template
+        if template is not None and template.key == key:
+            return Packet(template.eth, template.ipv4, template.udp, None, payload_len)
+        if self.proto == PROTO_TCP:
+            return make_tcp(kernel.host_mac, dst_mac, kernel.host_ip, dst_ip,
+                            self.port, dport, payload_len)
+        pkt = make_udp(kernel.host_mac, dst_mac, kernel.host_ip, dst_ip,
+                       self.port, dport, payload_len)
+        self.udp_template = UdpTemplate(key, pkt)
+        return pkt
 
     # --- RX -----------------------------------------------------------------------
 

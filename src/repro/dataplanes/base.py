@@ -19,8 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import UnsupportedOperation
 from ..kernel.netfilter import NetfilterRule
-from ..net.addresses import IPv4Address
-from ..net.packet import Packet
+from ..net.addresses import IPv4Address, MacAddress
+from ..net.headers import PROTO_TCP
+from ..net.packet import Packet, UdpTemplate, make_tcp, make_udp
 from ..sim import Signal
 
 Message = Tuple[int, IPv4Address, int]  # (payload_len, src_ip, sport)
@@ -154,6 +155,10 @@ class CaptureSession:
 class Endpoint:
     """One application's handle onto the network."""
 
+    #: The headers of the last UDP datagram shape sent, set at the first
+    #: send (see :class:`~repro.net.packet.UdpTemplate`).
+    udp_template: Optional[UdpTemplate] = None
+
     def __init__(self, dataplane: "Dataplane", proc, proto: int, port: int):
         self.dataplane = dataplane
         self.proc = proc
@@ -198,6 +203,27 @@ class Endpoint:
 
     def close(self) -> None:
         self.closed = True
+
+
+def build_packet_by_ip(
+    dp: "Dataplane", ep: Endpoint, dst_ip: IPv4Address, dport: int, payload_len: int
+) -> Packet:
+    """``build_packet`` of the bypass, hypervisor and sidecar planes, which
+    address a peer's MAC by its IP: one frame from ``dp``'s host address
+    and ``ep``'s port. The MAC follows from the IP, so a UDP shape leaves
+    it out and a repeat of the endpoint's last shape builds only the
+    ``Packet`` (see :class:`~repro.net.packet.UdpTemplate`). Only UDP
+    sends set a template."""
+    key = (dst_ip, dport, payload_len)
+    template = ep.udp_template
+    if template is not None and template.key == key:
+        return Packet(template.eth, template.ipv4, template.udp, None, payload_len)
+    dst_mac = MacAddress.from_index(dst_ip.value & 0xFF_FFFF)
+    if ep.proto == PROTO_TCP:
+        return make_tcp(dp.host_mac, dst_mac, dp.host_ip, dst_ip, ep.port, dport, payload_len)
+    pkt = make_udp(dp.host_mac, dst_mac, dp.host_ip, dst_ip, ep.port, dport, payload_len)
+    ep.udp_template = UdpTemplate(key, pkt)
+    return pkt
 
 
 class Dataplane:

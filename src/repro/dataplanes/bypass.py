@@ -27,8 +27,7 @@ from ..kernel.kernel import Kernel
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.flow import FiveTuple
 from ..net.link import Link
-from ..net.packet import Packet, make_udp, make_tcp
-from ..net.headers import PROTO_TCP
+from ..net.packet import Packet
 from ..nic.base import BasicNic
 from ..nic.rings import DescriptorRing, RingPair
 from ..sim import Signal
@@ -39,7 +38,14 @@ from ..trace import (
     STAGE_SCHED_WAKE,
     charge,
 )
-from .base import Dataplane, Endpoint, _as_bool, _message_of, _Rearm
+from .base import (
+    Dataplane,
+    Endpoint,
+    _as_bool,
+    _message_of,
+    _Rearm,
+    build_packet_by_ip,
+)
 
 
 class BypassEndpoint(Endpoint):
@@ -310,12 +316,7 @@ class BypassDataplane(Dataplane):
         self._next_conn += 1
         return conn
 
-    def build_packet(
-        self, ep: BypassEndpoint, dst_ip: IPv4Address, dport: int, payload_len: int
-    ) -> Packet:
-        dst_mac = MacAddress.from_index(dst_ip.value & 0xFF_FFFF)
-        maker = make_tcp if ep.proto == PROTO_TCP else make_udp
-        return maker(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport, payload_len)
+    build_packet = build_packet_by_ip
 
     def steer_return_flow(self, ep: BypassEndpoint, dst_ip: IPv4Address, dport: int) -> None:
         """The app installs an exact NIC steering entry for its return

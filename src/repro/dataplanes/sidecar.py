@@ -24,9 +24,8 @@ from ..kernel.process import owner_info
 from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc, PfifoQdisc
 from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.addresses import IPv4Address, MacAddress
-from ..net.headers import PROTO_TCP
 from ..net.link import Link
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet
 from ..nic.base import BasicNic
 from ..sim import Signal, SucceedWith
 from ..trace import (
@@ -44,6 +43,7 @@ from .base import (
     PacketFilter,
     QosConfig,
     _as_bool,
+    build_packet_by_ip,
     describe_qos,
 )
 
@@ -222,10 +222,7 @@ class SidecarDataplane(Dataplane):
     def register_waiter(self, ep: SidecarEndpoint, woken: Signal) -> None:
         self._waiters[(ep.proto, ep.port)] = woken
 
-    def build_packet(self, ep, dst_ip: IPv4Address, dport: int, payload_len: int) -> Packet:
-        dst_mac = MacAddress.from_index(dst_ip.value & 0xFF_FFFF)
-        maker = make_tcp if ep.proto == PROTO_TCP else make_udp
-        return maker(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport, payload_len)
+    build_packet = build_packet_by_ip
 
     # --- TX: app core -> coherence -> sidecar core -> qdisc -> NIC ----------------
 

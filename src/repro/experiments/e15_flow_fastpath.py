@@ -242,9 +242,10 @@ def run_e8_wallclock(
 ) -> Row:
     """Sweep (b): the E8 connection-scaling point under a ``rules``-deep
     filter chain, cache off vs on, in real seconds. On KOPI the chain
-    compiles to an overlay program the NIC *executes per packet* — a
-    Python-level interpreter loop the cache elides down to once per flow,
-    so the replay itself gets faster (this is the one wall-clock
+    compiles to an overlay program the NIC *executes per packet*, and the
+    cache elides those executions down to once per flow. The program runs
+    as generated Python code, about as cheap as a cache hit, so the replay
+    takes about as long either way (this is the one wall-clock
     measurement in the suite — bench-only, never part of a deterministic
     fingerprint)."""
 

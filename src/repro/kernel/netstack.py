@@ -15,7 +15,7 @@ from ..config import CostModel
 from ..errors import InvalidSyscall, KernelError, WouldBlock
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP, PROTO_UDP
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet, UdpTemplate, make_tcp, make_udp
 from ..sim import MetricSet, Signal, Simulator, SucceedWith
 from ..trace import (
     STAGE_FASTPATH,
@@ -293,9 +293,17 @@ class KernelNetStack:
     ) -> Packet:
         dst_mac = self.mac_for(dst_ip)
         if sock.proto == PROTO_UDP:
-            return make_udp(
+            # The MAC is resolved on every send and is part of the shape,
+            # so a new neighbour entry shows in the next frame.
+            key = (dst_ip, dst_mac, dport, payload_len)
+            template = sock.udp_template
+            if template is not None and template.key == key:
+                return Packet(template.eth, template.ipv4, template.udp, None, payload_len)
+            pkt = make_udp(
                 self.host_mac, dst_mac, self.host_ip, dst_ip, sock.port, dport, payload_len
             )
+            sock.udp_template = UdpTemplate(key, pkt)
+            return pkt
         if sock.proto == PROTO_TCP:
             return make_tcp(
                 self.host_mac, dst_mac, self.host_ip, dst_ip, sock.port, dport, payload_len

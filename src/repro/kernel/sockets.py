@@ -13,6 +13,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..errors import AddressInUse, KernelError, PermissionDenied
 from ..net.addresses import IPv4Address
 from ..net.headers import PROTO_TCP, PROTO_UDP
+from ..net.packet import UdpTemplate
 from .process import Process
 
 EPHEMERAL_BASE = 49_152
@@ -23,6 +24,10 @@ RxMessage = Tuple[int, IPv4Address, int]  # (payload_len, src_ip, sport)
 
 class KernelSocket:
     """One bound socket: owner process, protocol, local port, optional peer."""
+
+    #: The headers of the last UDP datagram shape sent, set at the first
+    #: send (see :class:`~repro.net.packet.UdpTemplate`).
+    udp_template: Optional[UdpTemplate] = None
 
     def __init__(self, owner: Process, proto: int, port: int):
         self.owner = owner

@@ -157,6 +157,28 @@ def make_udp(
     )
 
 
+class UdpTemplate:
+    """The headers of one UDP flow shape, shared by its datagrams.
+
+    Headers are immutable, so every datagram a sender builds to one
+    destination at one payload length can share them. A sender (a socket
+    or an endpoint) keeps the template of the last shape it built: a send
+    whose shape equals ``key`` builds only the :class:`Packet`, and any
+    other send builds through :func:`make_udp` and replaces the template.
+    One template per sender keeps memory proportional to senders, with no
+    cache size to choose. ``key`` holds whatever the sender derives the
+    headers from, for example ``(dst_ip, dst_mac, dport, payload_len)``.
+    """
+
+    __slots__ = ("key", "eth", "ipv4", "udp")
+
+    def __init__(self, key: tuple, pkt: Packet):
+        self.key = key
+        self.eth = pkt.eth
+        self.ipv4 = pkt.ipv4
+        self.udp = pkt.l4
+
+
 def make_tcp(
     src_mac: MacAddress,
     dst_mac: MacAddress,

@@ -14,12 +14,12 @@ E10 measures exactly this asymmetry against a year of policy churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...config import CostModel
 from ...errors import NicError, VerifierError
-from ...overlay.isa import Program
-from ...overlay.machine import OverlayMachine
+from ...overlay.isa import Instr, Program
+from ...overlay.machine import CompiledProgram, OverlayMachine
 from ...overlay.verifier import verify
 from ...sim import MetricSet, Signal, Simulator
 
@@ -35,18 +35,28 @@ class Bitstream:
 
 
 class OverlaySlot:
-    """One loadable program slot inside the current bitstream."""
+    """One loadable program slot inside the current bitstream.
 
-    def __init__(self, name: str, max_instrs: int, costs: CostModel):
+    ``compiled`` is the fabric's mapping from instruction tuples to
+    compiled programs, shared by the machines it loads."""
+
+    def __init__(
+        self,
+        name: str,
+        max_instrs: int,
+        costs: CostModel,
+        compiled: Optional[Dict[Tuple[Instr, ...], CompiledProgram]] = None,
+    ):
         self.name = name
         self.max_instrs = max_instrs
         self.costs = costs
+        self.compiled = compiled
         self.machine: Optional[OverlayMachine] = None
         self.loads = 0
 
     def load(self, program: Program) -> OverlayMachine:
         verify(program, max_instrs=self.max_instrs)
-        self.machine = OverlayMachine(program, self.costs)
+        self.machine = OverlayMachine(program, self.costs, self.compiled)
         self.loads += 1
         return self.machine
 
@@ -70,6 +80,10 @@ class FpgaFabric:
         self.slots: Dict[str, OverlaySlot] = {}
         self.offline = False
         self._offline_watchers: List[Callable[[bool], None]] = []
+        # Programs compile at their first packet, once per NIC: overlay
+        # machines with equal instructions share one compiled program,
+        # across bitstream loads too.
+        self.compiled: Dict[Tuple[Instr, ...], CompiledProgram] = {}
 
     def on_offline_change(self, fn: Callable[[bool], None]) -> None:
         """NIC models subscribe to start/stop dropping traffic."""
@@ -95,7 +109,7 @@ class FpgaFabric:
             )
         self.current = bitstream
         self.slots = {
-            name: OverlaySlot(name, cap, self.costs)
+            name: OverlaySlot(name, cap, self.costs, self.compiled)
             for name, cap in bitstream.overlay_slots
         }
 
@@ -119,7 +133,7 @@ class FpgaFabric:
         def _finish() -> None:
             self.current = bitstream
             self.slots = {
-                name: OverlaySlot(name, cap, self.costs)
+                name: OverlaySlot(name, cap, self.costs, self.compiled)
                 for name, cap in bitstream.overlay_slots
             }
             self._set_offline(False)

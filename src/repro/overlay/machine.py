@@ -1,15 +1,18 @@
 """Overlay execution engine.
 
-Runs one verified program per packet. Because the verifier guarantees
-forward-only control flow, execution is a single bounded scan; the machine
-nevertheless carries a defensive fuel budget so an unverified program cannot
-wedge the simulation.
+Runs one verified program per packet. The program runs as Python code
+generated once from its instructions (:func:`compile_program`): its basic
+blocks in program order, field loads as attribute reads and compares
+written inline. Because the verifier guarantees forward-only control flow,
+the generated code is a single forward pass; a program with a back edge,
+which only an unverified program can hold, is refused when it would be
+compiled, so it can never wedge the simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import units
 from ..config import CostModel
@@ -21,19 +24,16 @@ from .isa import (
     BRANCH_OPS,
     Instr,
     N_REGISTERS,
-    OP_ACCEPT,
     OP_CNT,
     OP_DROP,
-    OP_HALT,
     OP_JMP,
     OP_LDF,
-    OP_LDI,
     OP_METER,
     OP_MIRROR,
-    OP_MOV,
     OP_SETCLS,
     OP_SETQ,
     Program,
+    TERMINAL_OPS,
     VERDICT_ACCEPT,
     VERDICT_DROP,
     WORD_MASK,
@@ -73,15 +73,35 @@ class _Meter:
         return False
 
 
-class OverlayMachine:
-    """One loaded overlay slot: program + counters + meters."""
+#: A compiled program: ``run(machine, pkt, now_ns)``.
+CompiledProgram = Callable[["OverlayMachine", Packet, int], ExecResult]
 
-    def __init__(self, program: Program, costs: CostModel):
+
+class OverlayMachine:
+    """One loaded overlay slot: program + counters + meters.
+
+    The program is compiled at the first :meth:`execute`, not at load:
+    most loaded programs are replaced before a packet reaches them.
+    ``compiled`` maps instruction tuples to compiled programs; a fabric
+    passes one mapping to all its machines, so equal programs compile
+    once per NIC. A machine given none compiles for itself.
+    """
+
+    #: The compiled program, set at the first execute.
+    _run: Optional[CompiledProgram] = None
+
+    def __init__(
+        self,
+        program: Program,
+        costs: CostModel,
+        compiled: Optional[Dict[Tuple[Instr, ...], CompiledProgram]] = None,
+    ):
         self.program = program
         self.costs = costs
         self.counters: List[int] = [0] * program.n_counters
         self._meters: Dict[int, _Meter] = {}
         self.packets_seen = 0
+        self._compiled = compiled
 
     def configure_meter(self, index: int, rate_bps: int, burst_bytes: int) -> None:
         """Set a meter's token bucket (done by the control plane via MMIO)."""
@@ -95,126 +115,166 @@ class OverlayMachine:
         )
 
     def execute(self, pkt: Packet, now_ns: int) -> ExecResult:
-        """Run the program over ``pkt``. Fuel-bounded even for unverified
-        programs."""
-        regs = [0] * N_REGISTERS
-        result = ExecResult(verdict=VERDICT_ACCEPT)
-        self.packets_seen += 1
-        pc = 0
-        fuel = len(self.program.instrs) + 1
+        """Run the program over ``pkt``."""
+        run = self._run
+        if run is None:
+            run = self._run = self._compile()
+        return run(self, pkt, now_ns)
+
+    def _compile(self) -> CompiledProgram:
+        cache = self._compiled
+        if cache is None:
+            return compile_program(self.program)
         instrs = self.program.instrs
-        while pc < len(instrs):
-            fuel -= 1
-            if fuel < 0:
-                raise OverlayError(
-                    f"program {self.program.name!r} exceeded fuel; was it verified?"
-                )
+        run = cache.get(instrs)
+        if run is None:
+            run = cache[instrs] = compile_program(self.program)
+        return run
+
+
+#: ``ldf`` field -> the expression that reads it from ``pkt``; a field the
+#: packet lacks reads as 0 (``meta.conn_id`` as all ones).
+_FIELD_EXPR = {
+    "eth.type": "pkt.eth.ethertype",
+    "arp.op": "(pkt.arp.op if pkt.arp is not None else 0)",
+    "ip.src": "(pkt.ipv4.src.value if pkt.ipv4 is not None else 0)",
+    "ip.dst": "(pkt.ipv4.dst.value if pkt.ipv4 is not None else 0)",
+    "ip.proto": "(pkt.ipv4.proto if pkt.ipv4 is not None else 0)",
+    "ip.dscp": "(pkt.ipv4.dscp if pkt.ipv4 is not None else 0)",
+    "ip.ttl": "(pkt.ipv4.ttl if pkt.ipv4 is not None else 0)",
+    "l4.sport": "(pkt.l4.sport if pkt.l4 is not None else 0)",
+    "l4.dport": "(pkt.l4.dport if pkt.l4 is not None else 0)",
+    "tcp.flags": "(pkt.l4.flags if isinstance(pkt.l4, TcpHeader) else 0)",
+    "meta.len": "pkt.wire_len",
+    "meta.conn_id": "(pkt.meta.conn_id if pkt.meta.conn_id is not None else WORD_MASK)",
+    "meta.queue": "(pkt.meta.queue_id if pkt.meta.queue_id is not None else 0)",
+}
+
+#: ALU op -> statement template over ``d`` (the destination register) and
+#: ``x`` (the operand).
+_ALU_STMT = {
+    "add": "{d} = ({d} + {x}) & WORD_MASK",
+    "sub": "{d} = ({d} - {x}) & WORD_MASK",
+    "and": "{d} = {d} & {x}",
+    "or": "{d} = {d} | {x}",
+    "xor": "{d} = {d} ^ {x}",
+    "shl": "{d} = ({d} << ({x} & 31)) & WORD_MASK",
+    "shr": "{d} = {d} >> ({x} & 31)",
+}
+
+_BRANCH_CMP = {"jeq": "==", "jne": "!=", "jlt": "<", "jgt": ">", "jle": "<=", "jge": ">="}
+
+#: Ops that end a block by choosing where control goes next.
+_TRANSFERS = frozenset((OP_JMP,) + BRANCH_OPS + TERMINAL_OPS)
+
+_GLOBALS = {
+    "ExecResult": ExecResult,
+    "OverlayError": OverlayError,
+    "TcpHeader": TcpHeader,
+    "WORD_MASK": WORD_MASK,
+    "VERDICT_ACCEPT": VERDICT_ACCEPT,
+    "VERDICT_DROP": VERDICT_DROP,
+}
+
+
+def compile_program(program: Program) -> CompiledProgram:
+    """Generate the function that runs ``program`` over one packet.
+
+    Its result, the machine's counters, meter state and ``packets_seen``
+    are what executing the instructions one at a time gives: every block
+    adds its length to ``instrs_executed``, and the cost is
+    ``instrs_executed * overlay_instr_ns``. A jump past the last
+    instruction, or falling off the end, accepts. A backward or self jump
+    raises :class:`~repro.errors.OverlayError` here: the program could run
+    past its fuel of ``len(program) + 1`` instructions.
+    """
+    instrs = program.instrs
+    n = len(instrs)
+    for pc, instr in enumerate(instrs):
+        if (instr.op == OP_JMP or instr.op in BRANCH_OPS) and instr.target <= pc:
+            raise OverlayError(
+                f"program {program.name!r} jumps back from {pc} to {instr.target}, "
+                f"so it could exceed its fuel of {n + 1} instructions; "
+                "was it verified?"
+            )
+    # Leaders: the entry, every branch target, every instruction after a
+    # control transfer. Each block runs from one leader to the next.
+    leaders = {0}
+    for pc, instr in enumerate(instrs):
+        if instr.op in _TRANSFERS:
+            leaders.add(pc + 1)
+            if instr.target is not None:
+                leaders.add(instr.target)
+    starts = sorted(pc for pc in leaders if pc < n)
+    ops = {instr.op for instr in instrs}
+
+    out = ["def run(machine, pkt, now_ns):", "    machine.packets_seen += 1"]
+    out.append("    " + " = ".join(f"r{r}" for r in range(N_REGISTERS)) + " = 0")
+    out.append("    n = 0")
+    out.append("    queue = sched_class = None")
+    mirrors = "mirrors" if OP_MIRROR in ops else "[]"
+    if OP_MIRROR in ops:
+        out.append("    mirrors = []")
+    if OP_CNT in ops:
+        out.append("    counters = machine.counters")
+    if OP_METER in ops:
+        out.append("    meters = machine._meters")
+    result = f"ExecResult({{}}, queue, sched_class, {mirrors}, n, n * machine.costs.overlay_instr_ns)"
+    for i, start in enumerate(starts):
+        end = starts[i + 1] if i + 1 < len(starts) else n
+        if start == 0:
+            ind = "    "  # the entry block always runs
+        else:
+            ind = "        "
+            out.append(f"    if b == {start}:")
+        for pc in range(start, end):
             instr = instrs[pc]
-            result.instrs_executed += 1
             op = instr.op
+            if pc == end - 1:
+                # Count the block before it transfers control.
+                out.append(f"{ind}n += {end - start}")
             if op == OP_LDF:
-                regs[instr.rd] = _load_field(pkt, instr.field)  # type: ignore[index,arg-type]
-                pc += 1
-            elif op in (OP_LDI, OP_MOV):
-                regs[instr.rd] = self._value(regs, instr)  # type: ignore[index]
-                pc += 1
+                if instr.field in _FIELD_EXPR:
+                    out.append(f"{ind}r{instr.rd} = {_FIELD_EXPR[instr.field]}")
+                else:
+                    msg = f"unknown field {instr.field!r}"
+                    out.append(f"{ind}raise OverlayError({msg!r})")
+            elif op in ("ldi", "mov"):
+                out.append(f"{ind}r{instr.rd} = {_operand(instr)}")
             elif op in ALU_OPS:
-                regs[instr.rd] = _alu(op, regs[instr.rd], self._value(regs, instr))  # type: ignore[index]
-                pc += 1
-            elif op == OP_JMP:
-                pc = instr.target  # type: ignore[assignment]
-            elif op in BRANCH_OPS:
-                taken = _branch(op, regs[instr.ra], self._value(regs, instr))  # type: ignore[index]
-                pc = instr.target if taken else pc + 1  # type: ignore[assignment]
+                out.append(ind + _ALU_STMT[op].format(d=f"r{instr.rd}", x=_operand(instr)))
             elif op == OP_SETQ:
-                result.queue = self._value(regs, instr)
-                pc += 1
+                out.append(f"{ind}queue = {_operand(instr)}")
             elif op == OP_SETCLS:
-                result.sched_class = self._value(regs, instr)
-                pc += 1
+                out.append(f"{ind}sched_class = {_operand(instr)}")
             elif op == OP_MIRROR:
-                result.mirrors.append(instr.index)  # type: ignore[arg-type]
-                pc += 1
+                out.append(f"{ind}mirrors.append({instr.index!r})")
             elif op == OP_CNT:
-                self.counters[instr.index] += 1  # type: ignore[index]
-                pc += 1
+                out.append(f"{ind}counters[{instr.index!r}] += 1")
             elif op == OP_METER:
-                meter = self._meters.get(instr.index)  # type: ignore[arg-type]
-                ok = meter.conformant(now_ns, pkt.wire_len) if meter else True
-                regs[instr.rd] = 1 if ok else 0  # type: ignore[index]
-                pc += 1
+                out.append(f"{ind}meter = meters.get({instr.index!r})")
+                out.append(f"{ind}r{instr.rd} = 1 if meter is None "
+                           "or meter.conformant(now_ns, pkt.wire_len) else 0")
+            elif op == OP_JMP:
+                out.append(f"{ind}b = {instr.target}")
+            elif op in BRANCH_OPS:
+                cond = f"r{instr.ra} {_BRANCH_CMP[op]} {_operand(instr)}"
+                out.append(f"{ind}b = {instr.target} if {cond} else {pc + 1}")
             elif op == OP_DROP:
-                result.verdict = VERDICT_DROP
-                break
-            elif op in (OP_ACCEPT, OP_HALT):
-                result.verdict = VERDICT_ACCEPT
-                break
+                out.append(f"{ind}return " + result.format("VERDICT_DROP"))
+            elif op in TERMINAL_OPS:
+                out.append(f"{ind}return " + result.format("VERDICT_ACCEPT"))
             else:  # pragma: no cover - ALL_OPS is closed
                 raise OverlayError(f"unimplemented opcode {op!r}")
-        result.cost_ns = result.instrs_executed * self.costs.overlay_instr_ns
-        return result
-
-    @staticmethod
-    def _value(regs: List[int], instr: Instr) -> int:
-        kind, value = instr.src  # type: ignore[misc]
-        return regs[value] if kind == "reg" else value
-
-
-def _alu(op: str, a: int, b: int) -> int:
-    if op == "add":
-        return (a + b) & WORD_MASK
-    if op == "sub":
-        return (a - b) & WORD_MASK
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "shl":
-        return (a << (b & 31)) & WORD_MASK
-    if op == "shr":
-        return a >> (b & 31)
-    raise OverlayError(f"bad ALU op {op!r}")
+        if instrs[end - 1].op not in _TRANSFERS:
+            out.append(f"{ind}b = {end}")  # fall through to the next block
+    out.append("    return " + result.format("VERDICT_ACCEPT"))
+    namespace = dict(_GLOBALS)
+    exec(compile("\n".join(out), f"<overlay {program.name or 'program'}>", "exec"), namespace)
+    return namespace["run"]
 
 
-def _branch(op: str, a: int, b: int) -> bool:
-    return {
-        "jeq": a == b,
-        "jne": a != b,
-        "jlt": a < b,
-        "jgt": a > b,
-        "jle": a <= b,
-        "jge": a >= b,
-    }[op]
+def _operand(instr: Instr) -> str:
+    kind, value = instr.src  # type: ignore[misc]
+    return f"r{value}" if kind == "reg" else repr(value)
 
-
-def _load_field(pkt: Packet, name: str) -> int:
-    """Header field extraction; absent fields read as 0."""
-    if name == "eth.type":
-        return pkt.eth.ethertype
-    if name == "arp.op":
-        return pkt.arp.op if pkt.arp else 0
-    if name.startswith("ip."):
-        if pkt.ipv4 is None:
-            return 0
-        return {
-            "ip.src": pkt.ipv4.src.value,
-            "ip.dst": pkt.ipv4.dst.value,
-            "ip.proto": pkt.ipv4.proto,
-            "ip.dscp": pkt.ipv4.dscp,
-            "ip.ttl": pkt.ipv4.ttl,
-        }[name]
-    if name in ("l4.sport", "l4.dport"):
-        if pkt.l4 is None:
-            return 0
-        return pkt.l4.sport if name == "l4.sport" else pkt.l4.dport
-    if name == "tcp.flags":
-        return pkt.l4.flags if isinstance(pkt.l4, TcpHeader) else 0
-    if name == "meta.len":
-        return pkt.wire_len
-    if name == "meta.conn_id":
-        return pkt.meta.conn_id if pkt.meta.conn_id is not None else WORD_MASK
-    if name == "meta.queue":
-        return pkt.meta.queue_id if pkt.meta.queue_id is not None else 0
-    raise OverlayError(f"unknown field {name!r}")

@@ -4,7 +4,10 @@ A :class:`Simulator` owns one binary heap of pending events. Each event
 is a plain callback scheduled at an absolute integer-nanosecond
 timestamp. Ties are broken by insertion order, so a run is fully
 deterministic: events fire in the total order of their ``(time, seq)``
-keys.
+keys. The heap holds one mutable entry per event, the list
+``[time, seq, fn, args, sim]`` (:class:`EventHandle`), and that entry is
+also the handle scheduling returns: an event costs one allocation, and
+firing it is ``fn(*args)``.
 
 The heap stays shallow in practice: flow groups share one horizon timer,
 and the perfbench workloads keep a mean of 6.5 to ~3,070 entries pending.
@@ -15,58 +18,52 @@ At that depth C ``heapq`` push/pop is cheap (measurements in
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
 
 
-class EventHandle:
-    """Handle to a scheduled callback; allows cancellation.
+class EventHandle(list):
+    """A scheduled callback: the queue entry itself, and the handle that
+    :meth:`Simulator.at` and :meth:`Simulator.after` return.
 
-    Cancellation is lazy: the queue entry stays in place and is skipped
-    when it surfaces, which keeps cancelling O(1). The owning simulator
-    tracks how many cancelled entries its queue carries and compacts when
-    they dominate (see :meth:`Simulator._compact`). A handle detaches from
-    its simulator when it fires, so a later cancel leaves those books alone.
+    The entry is the list ``[time, seq, fn, args, sim]``. The heap orders
+    entries as lists compare, element by element; ``seq`` is unique, so a
+    comparison never reaches ``fn``. Being a list, a handle is unhashable:
+    keep it as an attribute, never as a dict key or set member.
+
+    Cancellation is lazy: the entry stays in the queue with a no-op body
+    and is skipped when it surfaces, which keeps cancelling O(1). The owning
+    simulator tracks how many cancelled entries its queue carries and
+    compacts when they dominate (see :meth:`Simulator._compact`). An entry
+    detaches from its simulator when it fires, so a later cancel leaves
+    those books alone.
     """
 
-    __slots__ = ("time", "_fn", "_args", "_cancelled", "_sim")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        sim: "Optional[Simulator]" = None,
-    ):
-        self.time = time
-        self._fn = fn
-        self._args = args
-        self._cancelled = False
-        self._sim = sim
+    @property
+    def time(self) -> int:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is _cancelled_fn
 
     def cancel(self) -> None:
         """Prevent the callback from running. Safe to call more than once,
         and after the event has fired."""
-        if self._cancelled:
+        if self[2] is _cancelled_fn:
             return
-        self._cancelled = True
-        self._fn = _cancelled_fn
-        self._args = ()
-        if self._sim is not None:
-            self._sim._note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def _fire(self) -> None:
-        self._sim = None
-        self._fn(*self._args)
+        self[2] = _cancelled_fn
+        self[3] = ()
+        sim = self[4]
+        if sim is not None:
+            sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
-        return f"<EventHandle t={self.time} {state}>"
+        state = "cancelled" if self.cancelled else "pending"
+        return f"<EventHandle t={self[0]} {state}>"
 
 
 def _cancelled_fn() -> None:
@@ -82,7 +79,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._heap: List[Tuple[int, int, EventHandle]] = []
+        self._heap: List[EventHandle] = []
         self._events_fired = 0
         self._cancelled_pending = 0
         self._compactions = 0
@@ -127,7 +124,7 @@ class Simulator:
         # object must survive. heapify preserves firing order because
         # (time, seq) keys are unique and totally ordered.
         heap = self._heap
-        heap[:] = [e for e in heap if not e[2]._cancelled]
+        heap[:] = [e for e in heap if e[2] is not _cancelled_fn]
         heapify(heap)
         self._cancelled_pending = 0
         self._compactions += 1
@@ -135,7 +132,7 @@ class Simulator:
     def _drop_cancelled_head(self) -> None:
         """Pop cancelled entries off the top, leaving a live head (or none)."""
         heap = self._heap
-        while heap and heap[0][2]._cancelled:
+        while heap and heap[0][2] is _cancelled_fn:
             heappop(heap)
             self._cancelled_pending -= 1
 
@@ -147,16 +144,20 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} ns; now is {self._now} ns"
             )
-        handle = EventHandle(time_ns, fn, args, self)
         self._seq += 1
-        heappush(self._heap, (time_ns, self._seq, handle))
-        return handle
+        entry = EventHandle((time_ns, self._seq, fn, args, self))
+        heappush(self._heap, entry)
+        return entry
 
     def after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
-        return self.at(self._now + delay_ns, fn, *args)
+        # at(), inlined: most events are scheduled relative to now.
+        self._seq += 1
+        entry = EventHandle((self._now + delay_ns, self._seq, fn, args, self))
+        heappush(self._heap, entry)
+        return entry
 
     # --- execution ----------------------------------------------------------
 
@@ -170,10 +171,11 @@ class Simulator:
         self._drop_cancelled_head()
         if not self._heap:
             return False
-        time_ns, _, handle = heappop(self._heap)
-        self._now = time_ns
+        entry = heappop(self._heap)
+        self._now = entry[0]
         self._events_fired += 1
-        handle._fire()
+        entry[4] = None
+        entry[2](*entry[3])
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -194,7 +196,7 @@ class Simulator:
         heap = self._heap
         while max_events is None or fired < max_events:
             # _drop_cancelled_head, inlined: this loop runs once per event.
-            while heap and heap[0][2]._cancelled:
+            while heap and heap[0][2] is _cancelled_fn:
                 heappop(heap)
                 self._cancelled_pending -= 1
             if not heap:
@@ -204,10 +206,11 @@ class Simulator:
             if until is not None and heap[0][0] > until:
                 self._now = until
                 return self._now
-            time_ns, _, handle = heappop(heap)
-            self._now = time_ns
+            entry = heappop(heap)
+            self._now = entry[0]
             self._events_fired += 1
-            handle._fire()
+            entry[4] = None  # detach: a later cancel leaves the books alone
+            entry[2](*entry[3])
             fired += 1
         return self._now
 

@@ -20,7 +20,7 @@ import itertools
 from typing import Any, Generator, Optional, Union
 
 from ..errors import SimulationError
-from .engine import Simulator
+from .engine import EventHandle, Simulator
 from .events import Signal
 
 Yieldable = Union[int, Signal, "SimProcess"]
@@ -50,6 +50,10 @@ class SimProcess:
         self.done = Signal(f"{self.name}.done")
         self._gen = gen
         self._waiting_on: Optional[Signal] = None
+        # The timer of a pending ``yield <int>``. Any resume cancels it: a
+        # resume other than the timer's own is an interrupt, and the
+        # generator must not see the timer later, at its next wait.
+        self._sleep: Optional[EventHandle] = None
         sim.after(0, self._step, None, None)
 
     # --- public -----------------------------------------------------------
@@ -77,6 +81,10 @@ class SimProcess:
         # one that escapes keeps it for the error report.
         if self.finished:
             return
+        sleep = self._sleep
+        if sleep is not None:
+            self._sleep = None
+            sleep.cancel()  # a no-op for the books once it has fired
         try:
             if throw_exc is not None:
                 yielded = self._gen.throw(throw_exc)
@@ -101,7 +109,7 @@ class SimProcess:
             if yielded < 0:
                 self._throw_soon(SimulationError(f"negative sleep: {yielded}"))
                 return
-            self.sim.after(yielded, self._step, None, None)
+            self._sleep = self.sim.after(yielded, self._step, None, None)
             return
         if isinstance(yielded, SimProcess):
             yielded = yielded.done

@@ -83,6 +83,27 @@ class TestCancellation:
         h.cancel()
         assert sim.peek() == 20
 
+    def test_cancel_after_firing_leaves_the_books_alone(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.after(10, fired.append, "x")
+        sim.run()
+        handle.cancel()
+        assert fired == ["x"]
+        assert handle.cancelled
+        assert sim.cancelled_pending == 0
+
+    def test_handle_is_the_queue_entry(self):
+        """``at`` and ``after`` return the entry the queue holds, with its
+        absolute time; nothing else is allocated per event."""
+        sim = Simulator()
+        sim.run(until=5)
+        a = sim.at(30, lambda: None)
+        b = sim.after(10, lambda: None)
+        assert (a.time, b.time) == (30, 15)
+        assert not a.cancelled and not b.cancelled
+        assert sorted(map(id, sim._heap)) == sorted((id(a), id(b)))
+
 
 class TestRunUntil:
     def test_run_until_stops_before_later_events(self):

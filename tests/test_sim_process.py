@@ -161,6 +161,72 @@ class TestInterrupt:
         sim.run()
         assert trace == [77]
 
+    def test_interrupt_cancels_pending_sleep(self):
+        """An interrupted sleep's timer must not resume the generator
+        later, at whatever it waits on next."""
+        sim = Simulator()
+        never = Signal("never")
+        trace = []
+
+        def worker():
+            try:
+                yield 1_000
+            except ProcessInterrupted:
+                trace.append(("interrupted", sim.now))
+            value = yield never
+            trace.append(("resumed", sim.now, value))
+
+        proc = SimProcess(sim, worker())
+        sim.after(100, proc.interrupt)
+        sim.run()
+        assert trace == [("interrupted", 100)]
+        assert not proc.finished
+        assert sim.cancelled_pending == 0
+
+    def test_interrupt_landing_beside_a_resume_cancels_the_next_sleep(self):
+        """The interrupt arrives while a resume is already scheduled: the
+        resumed generator starts a sleep, and the interrupt lands there."""
+        sim = Simulator()
+        ready, never = Signal("ready"), Signal("never")
+        trace = []
+
+        def worker():
+            yield ready
+            try:
+                yield 1_000
+            except ProcessInterrupted:
+                trace.append(("interrupted", sim.now))
+            value = yield never
+            trace.append(("resumed", sim.now, value))
+
+        proc = SimProcess(sim, worker())
+
+        def both():
+            ready.succeed(1)
+            proc.interrupt()
+
+        sim.after(100, both)
+        sim.run()
+        assert trace == [("interrupted", 100)]
+        assert sim.cancelled_pending == 0
+
+    def test_sleep_after_interrupt_runs_to_its_own_timer(self):
+        sim = Simulator()
+        trace = []
+
+        def worker():
+            try:
+                yield 1_000
+            except ProcessInterrupted:
+                pass
+            yield 5_000
+            trace.append(sim.now)
+
+        proc = SimProcess(sim, worker())
+        sim.after(100, proc.interrupt)
+        sim.run()
+        assert trace == [5_100]
+
     def test_interrupting_finished_process_is_noop(self):
         sim = Simulator()
 
