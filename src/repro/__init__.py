@@ -14,8 +14,8 @@ implemented for real. Quick tour::
     ep.send(256, dst=(PEER_IP, 9000))            # rings, not syscalls
     tb.run_all()
 
-See ``examples/`` for the §2 scenarios and ``benchmarks/`` for every
-experiment in DESIGN.md's index.
+See ``examples/`` for the §2 scenarios and ``tests/acceptance/`` for the
+checks of every experiment in DESIGN.md's index.
 """
 
 from .config import DEFAULT_COSTS, CostModel

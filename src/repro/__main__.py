@@ -5,7 +5,7 @@ Usage::
     python -m repro report [--quick]   # run every experiment, print tables
     python -m repro matrix             # just the E3 capability matrix
     python -m repro costs              # dump the calibrated cost model
-    python -m repro e1 .. e18 | e21 .. e23 | f1  # one experiment's table
+    python -m repro e1 .. e18 | e21 .. e23 | f1 | s1  # one experiment's table
     python -m repro trace [plane] [--out FILE]   # traced run -> Chrome JSON
     python -m repro profile <exp> [--top N]      # cProfile one experiment
 """

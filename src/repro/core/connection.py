@@ -34,7 +34,6 @@ class NormanConnection:
     """True when NIC resources were exhausted and this connection runs on
     the software (kernel) path instead — §5's escape hatch, measured by E9."""
 
-    notify_rx: bool = True
     closed: bool = False
     rx_packets: int = field(default=0)
     tx_packets: int = field(default=0)

@@ -500,15 +500,14 @@ class ControlPlane:
         §4.4 programmability story beyond precompiled iptables/tc policies.
 
         The program replaces the compiled filter chain (the two are the
-        same slot, as on real hardware), is verified before load, and a
-        rejected program leaves the previous one running untouched.
+        same slot, as on real hardware). The fabric verifies it against the
+        slot before anything loads, so a rejected program raises here and
+        leaves the previous one running untouched.
         """
         from ..overlay.assembler import assemble
-        from ..overlay.verifier import verify as _verify
 
         prog = assemble(asm_text, n_counters=n_counters, n_meters=n_meters,
                         name="custom_rx")
-        _verify(prog)
         return self.overlay_point.begin_commit(
             self.nic.fpga.load_overlay(SLOT_FILTER_RX, prog)
         )

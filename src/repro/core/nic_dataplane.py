@@ -366,7 +366,7 @@ class KopiNic:
         pkt.meta.notes["lines"] = runs
         self.machine.copies.charge(LAYER_DMA_DIRECT, pkt.wire_len, 0)
         conn.rx_packets += 1
-        if conn.notify_rx and self.notify is not None:
+        if self.notify is not None:
             if self.costs.batch_size > 1 and not was_empty:
                 # Interrupt coalescing: the outstanding RX_READY already
                 # covers this packet — a burst-draining reader picks it up

@@ -301,7 +301,7 @@ class NormanOS(Dataplane):
             machine.copies.charge(LAYER_DMA_DIRECT, n * wire_len, 0, ops=n)
             conn.rx_packets += n
             conn.fluid_rx.append([n, payload_len, src_ip, sport])
-            if conn.notify_rx and nic.notify is not None:
+            if nic.notify is not None:
                 nic.notify(conn, KIND_RX_READY, n)
 
         return FlowProfile(

@@ -178,7 +178,6 @@ class SidecarDataplane(Dataplane):
         self._qos_weights: Dict[str, int] = {}
         self._endpoints: Dict[Tuple[int, int], SidecarEndpoint] = {}
         self._waiters: Dict[Tuple[int, int], Signal] = {}
-        self._taps: List[PacketFilter] = []
         self._captures: List[Tuple[Optional[PacketFilter], CaptureSession]] = []
         # The sidecar's interposition mechanisms, registered with the engine
         # ("netfilter" is registered by Kernel itself).

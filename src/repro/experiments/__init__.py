@@ -1,10 +1,10 @@
 """Experiment harnesses.
 
-One module per experiment in DESIGN.md's index (E1–E11 plus F1). Each
-exposes a ``run_*`` function returning a list of row dicts and relies on
-:mod:`repro.experiments.common` for table rendering. The benchmark modules
-under ``benchmarks/`` are thin wrappers that execute these harnesses and
-print the rows the paper's argument predicts.
+One module per experiment in DESIGN.md's index. Each exposes ``run_*``
+functions returning structured results and a ``main`` that renders them with
+:mod:`repro.experiments.common` (``python -m repro <id>`` prints it).
+``tests/acceptance/`` holds one module per experiment that calls these
+harnesses and asserts the shape the paper's argument predicts.
 """
 
 from .common import fmt_table, planes_under_test

@@ -27,7 +27,6 @@ release. Two legs defend the two claims:
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -253,7 +252,6 @@ def run_leg(n_backends: int, n_flows: int, rounds: int, costs: CostModel,
     per_flow: Dict[int, int] = {}
     delivered = 0
     migration = []
-    t0 = time.perf_counter()
     for rnd in range(rounds):
         _scheduled, window = _send_round(rack, cli_eps, SENDS_PER_ROUND)
         if migrate and rnd == rounds // 2:
@@ -261,9 +259,7 @@ def run_leg(n_backends: int, n_flows: int, rounds: int, costs: CostModel,
                         lambda: migration.append(rack.migrate(flow0, target)))
         rack.run_all()
         delivered += _drain_backends(rack, srv_eps, per_flow)
-    wall = time.perf_counter() - t0
     obs = _observe(rack, names, delivered, per_flow, flow0)
-    obs["wall_s"] = wall
     obs["source"] = source
     obs["target"] = target
     if migrate:

@@ -145,7 +145,7 @@ def _leg_testbed(n_conns: int, costs: CostModel, n_cores: int = 8) -> Testbed:
     return tb
 
 
-def _observe(tb: Testbed, delivered: int, busy0: int, wall_s: float) -> Dict[str, object]:
+def _observe(tb: Testbed, delivered: int, busy0: int) -> Dict[str, object]:
     m = tb.machine
     fp = m.fastpath
     tracer = m.tracer
@@ -164,7 +164,6 @@ def _observe(tb: Testbed, delivered: int, busy0: int, wall_s: float) -> Dict[str
         "service_ns_per_pkt": service_ns / max(delivered, 1),
         "work_by_stage": work,
         "conserved": all(c.span_sum() == c.latency_ns() for c in closed),
-        "wall_s": wall_s,
         "events": tb.sim.events_fired,
     }
     if m.ff is not None:
@@ -189,13 +188,11 @@ def run_leg(
     busy0 = tb.machine.cpus.total_busy_ns()
     rounds = max(1, packets_total // (BURST_PER_CONN * n_conns))
     delivered = 0
-    t0 = time.perf_counter()
     for _round in range(rounds):
         _send_burst(tb, eps, slots, BURST_PER_CONN)
         tb.run_all()
         delivered += _drain(tb, eps, BURST_PER_CONN)
-    wall = time.perf_counter() - t0
-    return _observe(tb, delivered, busy0, wall)
+    return _observe(tb, delivered, busy0)
 
 
 def run_parity(

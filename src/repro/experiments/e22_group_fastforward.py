@@ -27,7 +27,6 @@ EXPERIMENTS.md; per-flow charging no longer exists.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 from ..config import DEFAULT_COSTS, CostModel
@@ -118,15 +117,13 @@ def run_leg(
     busy0 = tb.machine.cpus.total_busy_ns()
     delivered = 0
     tx_sent = 0
-    t0 = time.perf_counter()
     for _round in range(rounds):
         _send_burst(tb, eps, slots, BURST_PER_CONN)
         tb.run_all()
         delivered += _drain(tb, eps, BURST_PER_CONN)
         tx_sent += _send_tx(tb, eps, TX_PER_ROUND)
         tb.run_all()
-    wall = time.perf_counter() - t0
-    obs = _observe(tb, delivered, busy0, wall)
+    obs = _observe(tb, delivered, busy0)
     return _observe_tx(tb, obs, tx_sent)
 
 

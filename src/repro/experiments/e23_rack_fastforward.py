@@ -187,8 +187,8 @@ def _host_observables(host, prefix: str, busy0: int,
         obs[f"ff_{prefix}"] = m.ff.stats()
 
 
-def _observe(tb: TwoHostTestbed, delivered: int, busy0_a: int, busy0_b: int,
-             wall_s: float) -> Dict[str, object]:
+def _observe(tb: TwoHostTestbed, delivered: int, busy0_a: int,
+             busy0_b: int) -> Dict[str, object]:
     a, b = tb.host_a, tb.host_b
     nic_a = a.dataplane.nic  # type: ignore[attr-defined]
     nic_b = b.dataplane.nic  # type: ignore[attr-defined]
@@ -211,7 +211,6 @@ def _observe(tb: TwoHostTestbed, delivered: int, busy0_a: int, busy0_b: int,
         "uplink_bytes": int(a.uplink.metrics.meter("bytes").total_bytes),
         "downlink_sent": int(b.downlink.metrics.counter("sent").value),
         "downlink_bytes": int(b.downlink.metrics.meter("bytes").total_bytes),
-        "wall_s": wall_s,
         "events": tb.sim.events_fired,
     }
     _host_observables(a, "a", busy0_a, obs)
@@ -244,7 +243,6 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
     busy0_a = tb.host_a.machine.cpus.total_busy_ns()
     busy0_b = tb.host_b.machine.cpus.total_busy_ns()
     delivered = 0
-    t0 = time.perf_counter()
     for _round in range(rounds):
         _send_round(tb, a_eps, SENDS_PER_ROUND)
         tb.run_all()
@@ -252,8 +250,7 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
             tb.rack.flush_all()
             tb.run_all()
         delivered += _drain_b(tb, b_eps, SENDS_PER_ROUND)
-    wall = time.perf_counter() - t0
-    return _observe(tb, delivered, busy0_a, busy0_b, wall)
+    return _observe(tb, delivered, busy0_a, busy0_b)
 
 
 def run_parity(

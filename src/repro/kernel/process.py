@@ -34,7 +34,6 @@ class Process:
         self.cgroup_path: str = "/"
         self.state = PROC_RUNNING
         self.blocked_count = 0
-        self.voluntary_switches = 0
 
     @property
     def uid(self) -> int:

@@ -6,15 +6,15 @@ added to a queue ... A process's notification queue is accessible to both
 the process and the kernel, and the Norman kernel control plane is
 responsible for monitoring notifications sent to blocked threads."
 
-The queue therefore has two consumers: the owning process (polling mode)
-and the kernel control-plane monitor (blocking mode, via ``subscribe``).
+In this model no process polls the queue: the kernel control-plane
+monitor subscribes to it and sees each notification as it is posted, so
+a post is a fan-out to the subscribers and nothing is stored.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, List
 
 from ..errors import NicError
 from ..sim import MetricSet
@@ -48,38 +48,21 @@ class Notification:
 class NotificationQueue:
     """One process's notification queue."""
 
-    def __init__(self, owner_pid: int, capacity: int = 4_096, name: str = ""):
-        if capacity < 1:
-            raise NicError(f"capacity must be >= 1: {capacity}")
+    def __init__(self, owner_pid: int):
         self.owner_pid = owner_pid
-        self.capacity = capacity
-        self.name = name or f"notifq.pid{owner_pid}"
-        self._entries: Deque[Notification] = deque()
         self._subscribers: List[Callable[[Notification], None]] = []
         #: Immutable snapshot iterated by :meth:`post` — rebuilt on
         #: (un)subscribe so the hot path never copies the list.
         self._subs: tuple = ()
-        self.metrics = MetricSet(self.name)
+        self.metrics = MetricSet(f"notifq.pid{owner_pid}")
         self.interrupts_enabled = False
 
-    def post(self, notif: Notification) -> bool:
-        """NIC-side: append a notification; fan out to subscribers.
-
-        Returns False when the queue storage overflowed (the *entry* is
-        lost; polling consumers must treat the queue as lossy and rescan).
-        Subscribers fire regardless — they tap the post operation itself,
-        the way an MSI-X interrupt fires even when the event ring is full —
-        so the kernel monitor can never miss a wake-up.
-        """
-        stored = len(self._entries) < self.capacity
-        if stored:
-            self._entries.append(notif)
-            self.metrics.counter("posted").inc()
-        else:
-            self.metrics.counter("overflows").inc()
+    def post(self, notif: Notification) -> None:
+        """NIC-side: count the notification and fan it out to the
+        subscribers, the way an MSI-X interrupt taps the event."""
+        self.metrics.counter("posted").inc()
         for sub in self._subs:
             sub(notif)
-        return stored
 
     def subscribe(self, fn: Callable[[Notification], None]) -> Callable[[], None]:
         """Kernel-monitor side: observe every posted notification.
@@ -92,24 +75,6 @@ class NotificationQueue:
             self._subs = tuple(self._subscribers)
 
         return _unsubscribe
-
-    def poll(self) -> Optional[Notification]:
-        """Process side: consume the oldest notification, if any."""
-        if not self._entries:
-            return None
-        self.metrics.counter("polled").inc()
-        return self._entries.popleft()
-
-    def drain(self) -> List[Notification]:
-        """Consume everything pending."""
-        out = list(self._entries)
-        self._entries.clear()
-        self.metrics.counter("polled").inc(len(out))
-        return out
-
-    @property
-    def depth(self) -> int:
-        return len(self._entries)
 
     def enable_interrupts(self, enabled: bool = True) -> None:
         """Control-plane hint: deliver via interrupt for low-activity queues

@@ -11,10 +11,9 @@ activity, which is why it is a control-plane knob and not hardware policy.
 """
 
 from repro import units
+from repro.apps import BlockingWorker
 from repro.core import NormanOS
 from repro.dataplanes import Testbed
-from repro.apps import BlockingWorker
-from repro.experiments.common import fmt_table
 
 MODES = (
     ("interrupt", None),
@@ -47,14 +46,12 @@ def run_modes():
             "served": worker.served,
             "wake_us_p50": (lats[len(lats) // 2] / units.US) if lats else 0.0,
             "wake_us_max": (lats[-1] / units.US) if lats else 0.0,
-            "monitor_core_busy_us": tb.machine.cpus[0].busy_ns / units.US,
         })
     return rows
 
 
-def test_ablation_notification_delivery(once):
-    rows = once(run_modes)
-    print("\n" + fmt_table(rows))
+def test_ablation_notification_delivery():
+    rows = run_modes()
     by_mode = {r["mode"]: r for r in rows}
     assert all(r["served"] == N_MESSAGES for r in rows)
     # Interrupts: lowest latency.

@@ -1,7 +1,8 @@
 """E10 — §3/§4.4/§5: reconfiguration latency and a year of policy churn."""
 
+import pytest
+
 from repro import units
-from repro.experiments.common import fmt_table
 from repro.experiments.e10_reconfiguration import (
     churn_rows,
     measure_kopi_config_update,
@@ -10,10 +11,9 @@ from repro.experiments.e10_reconfiguration import (
 )
 
 
-def test_e10_update_latencies(once):
-    rows = once(run_e10)
-    print("\n" + fmt_table(rows))
-    by_target = {r["target"]: r for r in rows}
+@pytest.mark.slow
+def test_e10_update_latencies():
+    by_target = {r["target"]: r for r in run_e10()}
     # Config changes are microseconds everywhere that supports them.
     assert by_target["kopi (overlay)"]["config_update_us"] < 1_000
     # Feature changes: possible on KOPI (seconds), impossible on fixed NICs.
@@ -21,23 +21,25 @@ def test_e10_update_latencies(once):
     assert "bitstream" in by_target["kopi (overlay)"]["feature_update"]
 
 
-def test_e10_bitstream_outage_measured(once):
-    result = once(measure_kopi_feature_update)
-    print("\nbitstream reload:", result)
+@pytest.mark.slow
+def test_e10_bitstream_outage_measured():
+    result = measure_kopi_feature_update()
     assert result["offline_ns"] >= 2 * units.SEC
     assert result["drops"] > 0  # live traffic is lost while offline
 
 
-def test_e10_overlay_is_fast(once):
-    latency = once(measure_kopi_config_update)
-    print(f"\noverlay config update: {units.fmt_time(latency)}")
+def test_e10_overlay_is_fast():
+    latency = measure_kopi_config_update()
+    assert 0 < latency < units.MS
     assert latency < 200 * units.US
 
 
-def test_e10_churn(once):
-    rows = once(churn_rows)
-    print("\n" + fmt_table(rows))
+def test_e10_churn():
+    rows = churn_rows()
+    assert sum(r["unsupported"] for r in rows) > 0
     ff = next(r for r in rows if "fixed" in r["target"])
     assert ff["unsupported"] > 0
     kopi = next(r for r in rows if "kopi" in r["target"])
     assert kopi["unsupported"] == 0
+    kernel = next(r for r in rows if "kernel" in r["target"])
+    assert kernel["unsupported"] == 0

@@ -1,12 +1,13 @@
 """E11 — §5 ablation: shared rings flatten the connection-scaling cliff."""
 
-from repro.experiments.common import fmt_table
+import pytest
+
 from repro.experiments.e11_shared_rings import headline, run_e11
 
 
-def test_e11_shared_rings(once):
-    rows = once(run_e11, packets_per_point=8_192)
-    print("\n" + fmt_table(rows))
+@pytest.mark.slow
+def test_e11_shared_rings():
+    rows = run_e11(packets_per_point=8_192)
     h = headline(rows)
     per_conn = {r["connections"]: r for r in rows if r["mode"] == "per-conn"}
     shared = {r["connections"]: r for r in rows if r["mode"] == "shared"}
@@ -18,3 +19,10 @@ def test_e11_shared_rings(once):
     # The price: the hot set no longer scales with connections because the
     # rings are no longer per-connection.
     assert shared[4_096]["hot_set_mib"] < 1
+
+
+def test_shared_mode_flat_at_one_point():
+    rows = run_e11(sweep=(2_048,), packets_per_point=2_048)
+    shared = next(r for r in rows if r["mode"] == "shared")
+    per_conn = next(r for r in rows if r["mode"] == "per-conn")
+    assert shared["goodput_gbps"] >= per_conn["goodput_gbps"]

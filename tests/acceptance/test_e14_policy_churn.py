@@ -1,6 +1,4 @@
-"""E14 — policy churn bench: commit latency per plane, stale window, drops.
-
-Replays the E14 sweep and asserts its acceptance shape:
+"""E14 — policy churn: commit latency per plane, stale window, drops.
 
 * Kernel and sidecar installs are synchronous — the engine records the
   modeled ~10 us write and **zero** stale evaluations, at every churn rate.
@@ -9,28 +7,13 @@ Replays the E14 sweep and asserts its acceptance shape:
 * Bitstream-granularity commits take ~2 s with the NIC offline — ingress
   drops on the floor — while overlay-granularity commits never stop
   traffic. That contrast is the §4.4 argument in one table.
-
-Writes the JSON artifact next to the E12/E13 ones.
 """
 
-import json
-from pathlib import Path
-
-from repro.experiments.common import fmt_table
-from repro.experiments.e14_policy_churn import (
-    COLUMNS,
-    UPGRADE_COLUMNS,
-    headline,
-    run_e14,
-    run_e14_upgrade,
-)
-
-ARTIFACT = Path(__file__).parent / "artifacts" / "e14_policy_churn.json"
+from repro.experiments.e14_policy_churn import headline, run_e14, run_e14_upgrade
 
 
-def test_e14_policy_churn(once):
-    rows = once(run_e14, count=200, intervals=(None, 50_000, 10_000))
-    print("\n" + fmt_table(rows, columns=COLUMNS))
+def test_e14_policy_churn():
+    rows = run_e14(count=200, intervals=(None, 50_000, 10_000))
     h = headline(rows)
 
     # Acceptance: synchronous planes never run a packet on stale policy and
@@ -49,9 +32,7 @@ def test_e14_policy_churn(once):
         if row["plane"] in ("kernel", "sidecar"):
             assert row["stale_evals"] == 0, row
 
-    upgrade_rows = run_e14_upgrade()
-    print("\n" + fmt_table(upgrade_rows, columns=UPGRADE_COLUMNS))
-    by_mech = {r["mechanism"]: r for r in upgrade_rows}
+    by_mech = {r["mechanism"]: r for r in run_e14_upgrade()}
     overlay = by_mech["overlay load"]
     bitstream = by_mech["bitstream upgrade"]
     # Overlay loads commit in ~50 us without dropping a single arrival.
@@ -60,13 +41,3 @@ def test_e14_policy_churn(once):
     # A full image replacement is one ~2 s commit with the NIC offline.
     assert bitstream["commit_ms"] >= 2_000.0
     assert bitstream["offline_rx_drops"] > 0
-
-    ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
-    ARTIFACT.write_text(
-        json.dumps(
-            {"headline": h, "churn": rows, "granularity": upgrade_rows},
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote {ARTIFACT}")

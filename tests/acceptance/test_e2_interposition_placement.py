@@ -1,12 +1,10 @@
 """E2 — §1: virtual vs physical vs on-path movement, policies active."""
 
-from repro.experiments.common import fmt_table
 from repro.experiments.e2_interposition_placement import headline, run_e2
 
 
-def test_e2_interposition_placement(once):
-    rows = once(run_e2, count=200)
-    print("\n" + fmt_table(rows))
+def test_e2_interposition_placement():
+    rows = run_e2(count=200)
     h = headline(rows)
     by_plane = {r["plane"]: r for r in rows}
     # Both off-path placements cost much more host CPU than on-NIC.
@@ -19,3 +17,11 @@ def test_e2_interposition_placement(once):
     assert by_plane["sidecar"]["coh_lines_per_pkt"] > 10
     assert by_plane["kopi"]["syscalls_per_pkt"] == 0
     assert by_plane["kopi"]["coh_lines_per_pkt"] == 0
+
+
+def test_movement_taxonomy_at_small_scale():
+    rows = run_e2(count=30)
+    by_plane = {r["plane"]: r for r in rows}
+    assert by_plane["kernel"]["syscalls_per_pkt"] >= 1
+    assert by_plane["sidecar"]["coh_lines_per_pkt"] > 0
+    assert by_plane["kopi"]["syscalls_per_pkt"] == 0

@@ -1,14 +1,11 @@
 """E3 — §2: the four scenarios vs the five architectures."""
 
-from repro.core.capabilities import SCENARIOS, render_matrix
+from repro.core.capabilities import SCENARIOS
 from repro.experiments.e3_capability_matrix import headline, run_e3
 
 
-def test_e3_capability_matrix(once):
-    matrix = once(run_e3)
-    print("\n" + render_matrix(matrix))
-    scores = headline(matrix)
-    print("scores:", scores)
+def test_e3_capability_matrix():
+    scores = headline(run_e3())
     # Paper's table: kernel, sidecar, KOPI support all; bypass none;
     # hypervisor none of the four (global view without process view).
     n = len(SCENARIOS)

@@ -1,12 +1,10 @@
 """E4 — §2 Debugging: operator actions to find the ARP flooder."""
 
-from repro.experiments.common import fmt_table
 from repro.experiments.e4_debugging import headline, run_e4
 
 
-def test_e4_debugging(once):
-    rows = once(run_e4)
-    print("\n" + fmt_table(rows))
+def test_e4_debugging():
+    rows = run_e4()
     h = headline(rows)
     # O(n) inspection under bypass vs O(1) attributed capture under KOPI.
     assert h["kopi_actions"] == 1
@@ -16,3 +14,11 @@ def test_e4_debugging(once):
     # Bypass actions grow with the number of applications.
     bypass_actions = [r["operator_actions"] for r in rows if r["plane"] == "bypass"]
     assert bypass_actions == sorted(bypass_actions)
+
+
+def test_kopi_constant_actions_at_small_scale():
+    rows = run_e4(n_apps_sweep=(4, 8), seed=2)
+    kopi = [r for r in rows if r["plane"] == "kopi"]
+    assert all(r["operator_actions"] == 1 for r in kopi)
+    bypass = [r["operator_actions"] for r in rows if r["plane"] == "bypass"]
+    assert max(bypass) > 1

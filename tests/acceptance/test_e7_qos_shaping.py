@@ -1,13 +1,13 @@
 """E7 — §2 QoS: weighted fair shares only with a process view."""
 
-from repro.experiments.common import fmt_table
+import pytest
+
 from repro.experiments.e7_qos_shaping import headline, run_e7
 
 
-def test_e7_qos_shaping(once):
-    rows = once(run_e7)
-    print("\n" + fmt_table(rows))
-    h = headline(rows)
+@pytest.mark.slow
+def test_e7_qos_shaping():
+    h = headline(run_e7())
     assert set(h["enforcing_planes"]) == {"kernel", "sidecar", "kopi"}
     # Enforced split is ~25/75; unshaped is far from it.
     assert abs(h["kopi_work_share_pct"] - 75) < 5

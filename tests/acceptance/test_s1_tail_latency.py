@@ -1,15 +1,11 @@
 """S1 (supplementary) — RPC round-trip latency across dataplanes."""
 
-from repro.experiments.common import fmt_table
 from repro.experiments.s1_tail_latency import headline, run_s1
 
 
-def test_s1_tail_latency(once):
-    rows = once(run_s1, count=100)
-    print("\n" + fmt_table(rows))
+def test_s1_tail_latency():
+    rows = run_s1(count=100)
     h = headline(rows)
-    print(f"kernel/kopi-poll p99: {h['kernel_vs_kopi_poll_p99']:.1f}x; "
-          f"blocking premium: {h['kopi_blocking_premium_us']:.1f} us")
     # The kernel pays for syscalls+copies on every RPC.
     assert h["kernel_vs_kopi_poll_p99"] > 2
     # Interposition on the NIC costs a fraction of a microsecond.

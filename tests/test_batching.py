@@ -224,10 +224,11 @@ class TestTxDrainedCount:
             yield ep.connect(PEER_IP, 9_000)
             yield ep.send_burst([64] * 3)
 
+        posted = []
+        tb.dataplane.control.notification_queue(proc.pid).subscribe(posted.append)
         SimProcess(tb.sim, driver(), name="driver")
         tb.run_all()
-        queue = tb.dataplane.control.notification_queue(proc.pid)
-        drained = [n for n in queue.drain() if n.kind == KIND_TX_DRAINED]
+        drained = [n for n in posted if n.kind == KIND_TX_DRAINED]
         assert [n.count for n in drained] == [3]
 
 

@@ -10,6 +10,7 @@ class TestCli:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "report" in out
+        assert "| f1 | s1" in out  # s1 runs too, so the usage names it
 
     def test_no_args_prints_help(self, capsys):
         assert main([]) == 0

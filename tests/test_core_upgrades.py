@@ -11,6 +11,8 @@ from repro.dataplanes.testbed import PEER_IP
 from repro.errors import AssemblerError, VerifierError
 from repro.kernel import CHAIN_OUTPUT, DROP, NetfilterRule
 from repro.net import PROTO_UDP
+from repro.nic.smartnic import fpga
+from repro.overlay import verifier
 
 
 class TestBitstreamUpgrade:
@@ -136,3 +138,52 @@ class TestCustomPrograms:
         tb.run_all()
         machine = tb.dataplane.nic.fpga.machine(SLOT_FILTER_RX)
         assert machine.counters[0] == 3
+
+
+class TestVerifyOncePerLoad:
+    """The fabric verifies each overlay program once, when the load is
+    submitted; neither the control plane nor the landing load verifies
+    it again."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        calls = []
+        real = verifier.verify
+
+        def counting(program, *args, **kwargs):
+            calls.append(program)
+            return real(program, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "verify", counting)
+        monkeypatch.setattr(fpga, "verify", counting)
+        return calls
+
+    def _testbed(self):
+        tb = Testbed(NormanOS)
+        proc = tb.spawn("srv", "bob", core_id=1)
+        tb.dataplane.open_endpoint(proc, PROTO_UDP, 7000)
+        tb.run_all()
+        return tb
+
+    def _loads(self, tb):
+        return tb.dataplane.nic.fpga.metrics.counter("overlay_loads").value
+
+    def test_filter_rule_install(self, verified):
+        tb = self._testbed()
+        loads = self._loads(tb)
+        verified.clear()
+        tb.dataplane.install_filter_rule(
+            NetfilterRule(verdict=DROP, chain=CHAIN_OUTPUT, proto=PROTO_UDP,
+                          dport=9_999))
+        tb.run_all()
+        assert self._loads(tb) - loads == 2  # the RX and TX filter chains
+        assert len(verified) == 2
+
+    def test_custom_rx_program(self, verified):
+        tb = self._testbed()
+        loads = self._loads(tb)
+        verified.clear()
+        tb.dataplane.control.load_custom_rx_program("drop")
+        tb.run_all()
+        assert self._loads(tb) - loads == 1
+        assert len(verified) == 1
