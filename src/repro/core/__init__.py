@@ -9,8 +9,8 @@ Norman (§4) in full: the in-kernel control plane
 
 Packets flow app ↔ per-connection rings ↔ SmartNIC ↔ wire without touching
 the software kernel; the kernel configures the NIC (filters, scheduler,
-sniffer taps, steering) and monitors notification queues to wake blocked
-threads.
+capture sessions on the NIC's :class:`~repro.net.capture.Sniffer`,
+steering) and monitors notification queues to wake blocked threads.
 """
 
 from .capabilities import SCENARIOS, capability_matrix, render_matrix
@@ -20,7 +20,6 @@ from .control_plane import ControlPlane
 from .library import NormanEndpoint
 from .nic_dataplane import KOPI_BITSTREAM, KopiNic
 from .norman import NormanOS
-from .sniffer import Sniffer
 
 __all__ = [
     "CONN_MODE_PER_CONN",
@@ -34,7 +33,6 @@ __all__ = [
     "NormanEndpoint",
     "NormanOS",
     "SCENARIOS",
-    "Sniffer",
     "capability_matrix",
     "render_matrix",
 ]

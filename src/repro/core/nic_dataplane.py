@@ -27,6 +27,7 @@ from ..interpose.fastpath import CHAIN_KOPI_RX, CHAIN_KOPI_TX
 from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc, PfifoQdisc, Qdisc
 from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.flow import FiveTuple
+from ..net.capture import Sniffer
 from ..net.link import Link
 from ..net.packet import Packet
 from ..nic.notification import KIND_RX_READY, KIND_TX_DRAINED
@@ -44,7 +45,6 @@ from ..trace import (
     charge,
 )
 from .connection import NormanConnection
-from .sniffer import Sniffer
 
 SLOT_FILTER_RX = "filter_rx"
 SLOT_FILTER_TX = "filter_tx"

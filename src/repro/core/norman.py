@@ -14,7 +14,7 @@ embodies:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..config import CostModel
 from ..errors import SimulationError
@@ -24,20 +24,14 @@ from ..kernel.kernel import Kernel
 from ..kernel.netfilter import NetfilterRule
 from ..kernel.qdisc import DEFAULT_CLASS
 from ..net.addresses import IPv4Address, MacAddress
+from ..net.capture import Sniffer
 from ..net.link import Link
 from ..net.packet import Packet
 from ..sim import Signal
-from ..dataplanes.base import (
-    CaptureSession,
-    Dataplane,
-    PacketFilter,
-    QosConfig,
-    describe_qos,
-)
+from ..dataplanes.base import Dataplane, QosConfig, describe_qos
 from .control_plane import ControlPlane
 from .library import NormanEndpoint
 from .nic_dataplane import KOPI_BITSTREAM, KopiNic
-from .sniffer import Sniffer
 
 
 class NormanOS(Dataplane):
@@ -165,16 +159,6 @@ class NormanOS(Dataplane):
 
     def configure_qos(self, config: QosConfig) -> Signal:
         return self.control.configure_qos(config)
-
-    def start_capture(
-        self, match: Optional[PacketFilter] = None, name: str = "capture"
-    ) -> CaptureSession:
-        return self.sniffer.start(match, name)
-
-    def attribution_of(self, pkt: Packet) -> Optional[Tuple[int, int, str]]:
-        if pkt.meta.owner_pid is None:
-            return None
-        return (pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm)
 
     def arp_entries(self) -> List[object]:
         return self.kernel.arp_cache.entries()

@@ -14,18 +14,19 @@ those refusals, not from hand-written tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import UnsupportedOperation
 from ..kernel.netfilter import NetfilterRule
+from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc
 from ..net.addresses import IPv4Address, MacAddress
+from ..net.capture import CaptureSession, PacketFilter, Sniffer
 from ..net.headers import PROTO_TCP
 from ..net.packet import Packet, UdpTemplate, make_tcp, make_udp
 from ..sim import Signal
 
 Message = Tuple[int, IPv4Address, int]  # (payload_len, src_ip, sport)
-PacketFilter = Callable[[Packet], bool]
 
 
 class _AsBool(Signal):
@@ -130,26 +131,24 @@ def describe_qos(policy: Optional[QosConfig]) -> str:
     return f"wfq {weights}"
 
 
-@dataclass
-class CaptureSession:
-    """A running tcpdump-style capture."""
+def configure_cgroup_qos(kernel, runner, config: QosConfig) -> None:
+    """tc by cgroup, for the kernel path and the sidecar alike: replace
+    ``runner``'s discipline with DRR over the configured weights (plus the
+    default class), and have ``kernel``'s stack classify each packet by
+    its sender's cgroup."""
+    weights = dict(config.weights_by_cgroup)
+    weights.setdefault(DEFAULT_CLASS, 1)
+    runner.point.policy = config
+    runner.replace_qdisc(DrrQdisc(weights=weights, quantum_bytes=config.quantum_bytes))
+    cgroups = kernel.cgroups
 
-    name: str
-    packets: List[Packet] = field(default_factory=list)
-    _detach: Optional[Callable[[], None]] = None
-    attributed: bool = False
-    """True when captured packets carry owner (pid/uid/comm) metadata."""
+    def classify(_pkt: Packet, pid: Optional[int]) -> str:
+        if pid is None:
+            return DEFAULT_CLASS
+        path = cgroups.group_of(pid).path
+        return path if path in weights else DEFAULT_CLASS
 
-    pcap: Optional[object] = None
-    """A :class:`~repro.net.pcap.PcapWriter` when the backend produces one."""
-
-    def stop(self) -> None:
-        if self._detach is not None:
-            self._detach()
-            self._detach = None
-
-    def summaries(self) -> List[str]:
-        return [p.summary() for p in self.packets]
+    kernel.netstack.classify = classify
 
 
 class Endpoint:
@@ -234,6 +233,10 @@ class Dataplane:
     #: Whether a blocked receiver sleeps (True) or must burn a core polling.
     supports_blocking_io = False
 
+    #: The plane's capture point, None where no layer sees all of the
+    #: host's traffic.
+    sniffer: Optional[Sniffer] = None
+
     def open_endpoint(self, proc, proto: int, port: Optional[int] = None) -> Endpoint:
         raise NotImplementedError
 
@@ -251,11 +254,16 @@ class Dataplane:
         self, match: Optional[PacketFilter] = None, name: str = "capture"
     ) -> CaptureSession:
         """tcpdump: observe *all* of the host's traffic."""
-        raise UnsupportedOperation(f"{self.name}: no global capture point")
+        if self.sniffer is None:
+            raise UnsupportedOperation(f"{self.name}: no global capture point")
+        return self.sniffer.start(match, name)
 
     def attribution_of(self, pkt: Packet) -> Optional[Tuple[int, int, str]]:
-        """(pid, uid, comm) for a packet, if this layer can know it."""
-        return None
+        """(pid, uid, comm) for a packet, if this layer can know it: a
+        plane knows owners exactly when its captures are attributed."""
+        if self.sniffer is None or not self.sniffer.attributed or pkt.meta.owner_pid is None:
+            return None
+        return (pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm)
 
     def arp_entries(self) -> List[object]:
         """The host-wide ARP view an admin can inspect (``ifconfig``/ARP

@@ -12,7 +12,7 @@ for OS-integrated (not hypervisor-level) interposition.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..errors import UnsupportedOperation
 from ..host.copies import LAYER_HV_VRING
@@ -22,11 +22,12 @@ from ..interpose.fastpath import CHAIN_VSWITCH
 from ..kernel.arp import ArpCache
 from ..kernel.netfilter import NetfilterRule
 from ..net.addresses import IPv4Address, MacAddress
+from ..net.capture import Sniffer
 from ..net.link import Link
 from ..net.packet import Packet
 from ..net.switch import MatchAction
 from ..sim import MetricSet
-from .base import CaptureSession, PacketFilter, QosConfig
+from .base import QosConfig
 from .bypass import BypassDataplane, BypassEndpoint
 
 
@@ -49,7 +50,8 @@ class HypervisorDataplane(BypassDataplane):
         self.vswitch_rules: List[MatchAction] = []
         self.arp_observed = ArpCache()
         self.metrics = MetricSet("vswitch")
-        self._captures: List[Tuple[Optional[PacketFilter], CaptureSession]] = []
+        # Global capture works, but unattributed.
+        self.sniffer = Sniffer(machine.sim, attributed=False)
         # The vswitch's interposition mechanisms. Header-only match-action
         # compiles from netfilter rules, so the mechanism is "netfilter" even
         # though it runs below the OS ("netfilter" proper is registered by
@@ -60,10 +62,10 @@ class HypervisorDataplane(BypassDataplane):
             install_latency_ns=self.costs.table_update_ns,
             target=self.vswitch_rules,
         ))
-        self._sniffer_point = engine.register(InterpositionPoint(
+        self.sniffer.point = engine.register(InterpositionPoint(
             name="sniffer", plane="hypervisor", mechanism="tap",
             install_latency_ns=self.costs.table_update_ns,
-            target=self._captures,
+            target=self.sniffer,
         ))
 
     # --- vswitch pipeline (runs on the NIC, both directions) ---------------------
@@ -73,13 +75,7 @@ class HypervisorDataplane(BypassDataplane):
         consulted — the hypervisor cannot know it."""
         if pkt.is_arp:
             self.arp_observed.observe(pkt, self.machine.sim.now)
-        if self._captures:
-            mirrored = False
-            for match, session in self._captures:
-                if match is None or match(pkt):
-                    session.packets.append(pkt)
-                    mirrored = True
-            self._sniffer_point.record_eval(hit=mirrored)
+        self.sniffer.mirror(pkt)
         matched = False
         verdict_drop = False
         if self.vswitch_rules:
@@ -155,21 +151,6 @@ class HypervisorDataplane(BypassDataplane):
             "packets carry no process identity (it could shape by port, but "
             "the game hops ports — §2)"
         )
-
-    def start_capture(
-        self, match: Optional[PacketFilter] = None, name: str = "capture"
-    ) -> CaptureSession:
-        """Global capture works — but unattributed."""
-        session = CaptureSession(name=name, attributed=False)
-        self._captures.append((match, session))
-        self._sniffer_point.record_update()
-
-        def _detach() -> None:
-            self._captures.remove((match, session))
-            self._sniffer_point.record_update()
-
-        session._detach = _detach
-        return session
 
     def arp_entries(self) -> List[object]:
         """MAC/IP pairs only; ``source_pid`` is always None here."""

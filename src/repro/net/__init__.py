@@ -1,12 +1,15 @@
-"""Network substrate: headers, packets, links, switching, RSS, pcap, traffic.
+"""Network substrate: headers, packets, links, switching, RSS, capture, pcap,
+traffic.
 
 Everything above the host: real (serializable) protocol headers so that the
-tcpdump analogue writes genuine pcap bytes, a Toeplitz RSS hash, rate-limited
+tcpdump analogue writes genuine pcap bytes, the one capture tap every
+capturing plane mirrors into, a Toeplitz RSS hash, rate-limited
 links, an L2 switch, and an in-network match-action interposer used as the
 "interpose in the network" comparator of §2.
 """
 
 from .addresses import BROADCAST_MAC, IPv4Address, MacAddress
+from .capture import CaptureSession, Sniffer
 from .checksum import internet_checksum
 from .flow import FiveTuple
 from .headers import (
@@ -37,6 +40,7 @@ __all__ = [
     "ETHERTYPE_ARP",
     "ETHERTYPE_IPV4",
     "ArpHeader",
+    "CaptureSession",
     "EthernetHeader",
     "FiveTuple",
     "IPv4Address",
@@ -50,6 +54,7 @@ __all__ = [
     "PcapWriter",
     "PROTO_TCP",
     "PROTO_UDP",
+    "Sniffer",
     "TcpHeader",
     "UdpHeader",
     "cbr_arrivals",

@@ -69,7 +69,7 @@ class TestAppBase:
 
 class TestSnifferSessions:
     def test_multiple_sessions_independent(self):
-        from repro.core import Sniffer
+        from repro.net import Sniffer
         from repro.net import IPv4Address, MacAddress, make_udp
 
         sim = Simulator()
@@ -88,7 +88,7 @@ class TestSnifferSessions:
         assert sniffer.active_sessions == 1
 
     def test_stop_is_idempotent(self):
-        from repro.core import Sniffer
+        from repro.net import Sniffer
 
         session = Sniffer(Simulator()).start()
         session.stop()
