@@ -10,6 +10,7 @@ Run:  python examples/two_hosts.py
 from repro.core import NormanOS
 from repro.dataplanes import BypassDataplane
 from repro.dataplanes.multihost import HOST_B_IP, TwoHostTestbed
+from repro.errors import EndpointClosed
 from repro.net import PROTO_UDP
 from repro.sim import SimProcess
 from repro.tools import Ss, Tcpdump
@@ -27,9 +28,12 @@ def main() -> None:
     session = dump_b.start("udp")
 
     def srv():
-        while True:
-            size, src_ip, sport = yield ep_s.recv(blocking=True)
-            yield ep_s.send(size // 2, dst=(src_ip, sport))
+        try:
+            while True:
+                size, src_ip, sport = yield ep_s.recv(blocking=True)
+                yield ep_s.send(size // 2, dst=(src_ip, sport))
+        except EndpointClosed:
+            return  # the administrator closed the server's endpoint
 
     def cli():
         yield ep_c.connect(HOST_B_IP, 7000)

@@ -196,8 +196,15 @@ class ControlPlane:
             self.nic.steering.remove(
                 FiveTuple(conn.proto, peer_ip, peer_port, self.kernel.host_ip, conn.port)
             )
-        self.kernel.sockets.close(conn.sock)
+        self.kernel.netstack.close(conn.sock)
         del self._conns[conn.conn_id]
+        # A reader blocked on the connection wakes without an interrupt
+        # (the closing thread's own syscall) and finds it closed.
+        proc = self._rx_waiters.pop(conn.conn_id, None)
+        if proc is not None:
+            self.kernel.scheduler.wake(proc, via_interrupt=False)
+            if not self._has_waiters(proc.pid):
+                self._notifq[proc.pid].enable_interrupts(False)
         if not conn.fallback:
             self._hot_untrack(conn)
         self._resync_policies()

@@ -11,6 +11,7 @@ from repro.dataplanes.multihost import (
     HOST_B_MAC,
     TwoHostTestbed,
 )
+from repro.errors import EndpointClosed
 from repro.net import PROTO_UDP
 from repro.sim import SimProcess
 from repro.tools import Tcpdump
@@ -45,9 +46,14 @@ class TestNormanToNorman:
         rtts = []
 
         def srv():
-            while True:
-                size, src_ip, sport = yield ep_s.recv(blocking=True)
-                yield ep_s.send(size, dst=(src_ip, sport))
+            # Serves until the client closes the server's endpoint, which
+            # fails the blocked read.
+            try:
+                while True:
+                    size, src_ip, sport = yield ep_s.recv(blocking=True)
+                    yield ep_s.send(size, dst=(src_ip, sport))
+            except EndpointClosed:
+                return "closed"
 
         def cli():
             yield ep_c.connect(HOST_B_IP, 7000)
@@ -58,11 +64,12 @@ class TestNormanToNorman:
                 rtts.append(tb.sim.now - start)
             ep_s.close()
 
-        SimProcess(tb.sim, srv())
+        server_task = SimProcess(tb.sim, srv())
         SimProcess(tb.sim, cli())
         tb.run_all()
         assert len(rtts) == 3
         assert all(r > 0 for r in rtts)
+        assert server_task.done.value == "closed"
 
     def test_switch_learns_both_macs(self):
         tb = TwoHostTestbed(NormanOS, NormanOS)
