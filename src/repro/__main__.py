@@ -18,57 +18,9 @@ from .config import DEFAULT_COSTS
 
 
 def _experiment_mains():
-    from .experiments import (
-        e1_dataplane_overhead,
-        e2_interposition_placement,
-        e3_capability_matrix,
-        e4_debugging,
-        e5_port_partitioning,
-        e6_blocking_io,
-        e7_qos_shaping,
-        e8_connection_scaling,
-        e9_resource_exhaustion,
-        e10_reconfiguration,
-        e11_shared_rings,
-        e12_batching,
-        e13_zero_copy,
-        e14_policy_churn,
-        e15_flow_fastpath,
-        e16_latency_anatomy,
-        e17_multi_tenant,
-        e18_cluster,
-        e21_fidelity_crossover,
-        e22_group_fastforward,
-        e23_rack_fastforward,
-        f1_architecture,
-        s1_tail_latency,
-    )
+    from .experiments.report import SECTIONS
 
-    return {
-        "e1": e1_dataplane_overhead.main,
-        "e2": e2_interposition_placement.main,
-        "e3": e3_capability_matrix.main,
-        "e4": e4_debugging.main,
-        "e5": e5_port_partitioning.main,
-        "e6": e6_blocking_io.main,
-        "e7": e7_qos_shaping.main,
-        "e8": e8_connection_scaling.main,
-        "e9": e9_resource_exhaustion.main,
-        "e10": e10_reconfiguration.main,
-        "e11": e11_shared_rings.main,
-        "e12": e12_batching.main,
-        "e13": e13_zero_copy.main,
-        "e14": e14_policy_churn.main,
-        "e15": e15_flow_fastpath.main,
-        "e16": e16_latency_anatomy.main,
-        "e17": e17_multi_tenant.main,
-        "e18": e18_cluster.main,
-        "e21": e21_fidelity_crossover.main,
-        "e22": e22_group_fastforward.main,
-        "e23": e23_rack_fastforward.main,
-        "f1": f1_architecture.main,
-        "s1": s1_tail_latency.main,
-    }
+    return {name: main_fn for name, (_title, main_fn) in SECTIONS.items()}
 
 
 def _trace_main(argv: "list[str]") -> int:

@@ -198,13 +198,14 @@ class ControlPlane:
             )
         self.kernel.netstack.close(conn.sock)
         del self._conns[conn.conn_id]
-        # A reader blocked on the connection wakes without an interrupt
-        # (the closing thread's own syscall) and finds it closed.
-        proc = self._rx_waiters.pop(conn.conn_id, None)
-        if proc is not None:
-            self.kernel.scheduler.wake(proc, via_interrupt=False)
-            if not self._has_waiters(proc.pid):
-                self._notifq[proc.pid].enable_interrupts(False)
+        # A reader or writer blocked on the connection wakes without an
+        # interrupt (the closing thread's own syscall) and finds it closed.
+        for waiters in (self._rx_waiters, self._tx_waiters):
+            proc = waiters.pop(conn.conn_id, None)
+            if proc is not None:
+                self.kernel.scheduler.wake(proc, via_interrupt=False)
+                if not self._has_waiters(proc.pid):
+                    self._notifq[proc.pid].enable_interrupts(False)
         if not conn.fallback:
             self._hot_untrack(conn)
         self._resync_policies()

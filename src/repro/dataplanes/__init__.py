@@ -6,9 +6,10 @@ One subclass per architecture the paper compares:
   full interposition);
 * :class:`BypassDataplane` — DPDK-style kernel bypass (fast, blind);
 * :class:`SidecarDataplane` — IX/Snap-style dedicated interposition core
-  (physical movement, full interposition);
+  (physical movement, full interposition): the kernel path with its stack
+  on its own core;
 * :class:`HypervisorDataplane` — AccelNet-style NIC vswitch (global header
-  view, no process view);
+  view, no process view): the bypass plane plus the vswitch;
 * the KOPI dataplane, the paper's contribution, lives in :mod:`repro.core`.
 
 All expose the same :class:`Dataplane` interface, so the capability matrix

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import UnsupportedOperation
 from ..kernel.netfilter import NetfilterRule
-from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.capture import CaptureSession, PacketFilter, Sniffer
 from ..net.headers import PROTO_TCP
@@ -129,26 +128,6 @@ def describe_qos(policy: Optional[QosConfig]) -> str:
         f"{path}:{w}" for path, w in sorted(policy.weights_by_cgroup.items())
     )
     return f"wfq {weights}"
-
-
-def configure_cgroup_qos(kernel, runner, config: QosConfig) -> None:
-    """tc by cgroup, for the kernel path and the sidecar alike: replace
-    ``runner``'s discipline with DRR over the configured weights (plus the
-    default class), and have ``kernel``'s stack classify each packet by
-    its sender's cgroup."""
-    weights = dict(config.weights_by_cgroup)
-    weights.setdefault(DEFAULT_CLASS, 1)
-    runner.point.policy = config
-    runner.replace_qdisc(DrrQdisc(weights=weights, quantum_bytes=config.quantum_bytes))
-    cgroups = kernel.cgroups
-
-    def classify(_pkt: Packet, pid: Optional[int]) -> str:
-        if pid is None:
-            return DEFAULT_CLASS
-        path = cgroups.group_of(pid).path
-        return path if path in weights else DEFAULT_CLASS
-
-    kernel.netstack.classify = classify
 
 
 class Endpoint:

@@ -219,13 +219,11 @@ class BypassDataplane(Dataplane):
         host_mac: MacAddress,
         egress: Link,
         n_queues: int = 64,
-        ring_entries: int = 256,
     ):
         self.machine = machine
         self.costs: CostModel = machine.costs
         self.host_ip = host_ip
         self.host_mac = host_mac
-        self.ring_entries = ring_entries
         machine.tracer.plane = self.name
         self.nic = BasicNic(
             machine.sim, machine.costs, machine.dma, egress, n_queues=n_queues,
@@ -288,16 +286,18 @@ class BypassDataplane(Dataplane):
         if port is None:
             port = 50_000 + self._next_conn
         conn_id = self._allocate_queue()
+        rx_entries = self.costs.rx_ring_entries
+        tx_entries = self.costs.tx_ring_entries
         region_rx = self.machine.memory.alloc_pinned(
-            self.ring_entries * 64, owner=f"pid{proc.pid}", name=f"rx{conn_id}"
+            rx_entries * 64, owner=f"pid{proc.pid}", name=f"rx{conn_id}"
         )
         region_tx = self.machine.memory.alloc_pinned(
-            self.ring_entries * 64, owner=f"pid{proc.pid}", name=f"tx{conn_id}"
+            tx_entries * 64, owner=f"pid{proc.pid}", name=f"tx{conn_id}"
         )
         rings = RingPair(
             conn_id,
-            rx=DescriptorRing(self.ring_entries, region_rx, f"rx{conn_id}"),
-            tx=DescriptorRing(self.ring_entries, region_tx, f"tx{conn_id}"),
+            rx=DescriptorRing(rx_entries, region_rx, f"rx{conn_id}"),
+            tx=DescriptorRing(tx_entries, region_tx, f"tx{conn_id}"),
         )
         self.nic.queues[conn_id % len(self.nic.queues)].ring = rings.rx
         self.nic.steering.install_dport(proto, port, conn_id)

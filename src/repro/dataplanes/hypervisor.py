@@ -44,9 +44,8 @@ class HypervisorDataplane(BypassDataplane):
         host_mac: MacAddress,
         egress: Link,
         n_queues: int = 64,
-        ring_entries: int = 256,
     ):
-        super().__init__(machine, host_ip, host_mac, egress, n_queues, ring_entries)
+        super().__init__(machine, host_ip, host_mac, egress, n_queues)
         self.vswitch_rules: List[MatchAction] = []
         self.arp_observed = ArpCache()
         self.metrics = MetricSet("vswitch")

@@ -16,16 +16,19 @@ from ..host.machine import Machine
 from ..interpose import InterpositionPoint
 from ..kernel.kernel import Kernel
 from ..kernel.netfilter import NetfilterRule
+from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.link import Link
 from ..net.packet import Packet
 from ..nic.base import BasicNic
 from ..sim import Signal
-from .base import Dataplane, Endpoint, QosConfig, configure_cgroup_qos, describe_qos
+from .base import Dataplane, Endpoint, QosConfig, describe_qos
 
 
-class KernelEndpoint(Endpoint):
-    """Endpoint over a kernel socket."""
+class SocketEndpoint(Endpoint):
+    """Endpoint over a kernel socket, on the kernel path and the sidecar:
+    the socket table arbitrates its port, holds its peer and queue, and
+    is what netstat and ss read."""
 
     def __init__(self, dataplane: "KernelPathDataplane", proc, proto: int, port: Optional[int]):
         self._dp = dataplane
@@ -35,6 +38,24 @@ class KernelEndpoint(Endpoint):
             self.sock = dataplane.kernel.sockets.bind(proc, proto, port)
         super().__init__(dataplane, proc, proto, self.sock.port)
 
+    def _dst(self, dst: Optional[Tuple[IPv4Address, int]]) -> Tuple[IPv4Address, int]:
+        """``dst``, or the connected peer."""
+        if dst is None:
+            if self.sock.peer is None:
+                raise UnsupportedOperation("send without destination on unconnected socket")
+            dst = self.sock.peer
+        return dst
+
+    def close(self) -> None:
+        """Release the socket and fail a read blocked on it."""
+        if not self.closed:
+            self._dp.kernel.netstack.close(self.sock)
+        super().close()
+
+
+class KernelEndpoint(SocketEndpoint):
+    """Endpoint whose every call is a syscall."""
+
     def connect(self, dst_ip: IPv4Address, dport: int) -> Signal:
         return self._dp.kernel.netstack.connect(self.proc, self.sock, dst_ip, dport)
 
@@ -42,10 +63,7 @@ class KernelEndpoint(Endpoint):
         self, payload_lens: Sequence[int], dst: Optional[Tuple[IPv4Address, int]] = None
     ) -> Signal:
         """sendmmsg: one kernel crossing for the whole burst."""
-        if dst is None:
-            if self.sock.peer is None:
-                raise UnsupportedOperation("send without destination on unconnected socket")
-            dst = self.sock.peer
+        dst = self._dst(dst)
         return self._dp.kernel.netstack.sendmmsg(
             self.proc, self.sock, dst[0], dst[1], payload_lens
         )
@@ -61,11 +79,6 @@ class KernelEndpoint(Endpoint):
             "kernel path: applications cannot inject raw frames; the kernel "
             "owns ARP and L2"
         )
-
-    def close(self) -> None:
-        if not self.closed:
-            self._dp.kernel.netstack.close(self.sock)
-        super().close()
 
 
 class KernelPathDataplane(Dataplane):
@@ -84,14 +97,15 @@ class KernelPathDataplane(Dataplane):
     ):
         self.machine = machine
         self.costs: CostModel = machine.costs
+        self.host_ip = host_ip
+        self.host_mac = host_mac
         machine.tracer.plane = self.name
         self.nic = BasicNic(
             machine.sim, machine.costs, machine.dma, egress, n_queues=n_queues,
             fastpath=machine.fastpath, tracer=machine.tracer,
         )
         self.kernel = Kernel(
-            machine, host_ip, host_mac,
-            nic_send=self._kernel_tx, tx_rate_bps=egress.rate_bps,
+            machine, host_ip, host_mac, nic_send=self.nic.tx, tx_rate_bps=egress.rate_bps,
         )
         for queue in self.nic.queues:
             queue.set_handler(self._nic_rx_burst)
@@ -99,7 +113,7 @@ class KernelPathDataplane(Dataplane):
         # machine's PolicyEngine ("netfilter" is registered by Kernel itself).
         engine = machine.interpose
         qdisc_point = engine.register(InterpositionPoint(
-            name="qdisc", plane="kernel", mechanism="qdisc",
+            name="qdisc", plane=self.name, mechanism="qdisc",
             install_latency_ns=self.costs.kernel_update_ns,
             target=self.kernel.netstack.egress,
         ))
@@ -107,7 +121,7 @@ class KernelPathDataplane(Dataplane):
         self.kernel.netstack.egress.point = qdisc_point
         self.sniffer = self.kernel.netstack.sniffer
         self.sniffer.point = engine.register(InterpositionPoint(
-            name="sniffer", plane="kernel", mechanism="tap",
+            name="sniffer", plane=self.name, mechanism="tap",
             install_latency_ns=self.costs.kernel_update_ns,
             target=self.sniffer,
         ))
@@ -118,9 +132,6 @@ class KernelPathDataplane(Dataplane):
         ))
 
     # --- wire plumbing -----------------------------------------------------
-
-    def _kernel_tx(self, pkt: Packet) -> None:
-        self.nic.tx(pkt)
 
     def wire_rx(self, pkt: Packet) -> None:
         """Attach this to the ingress link."""
@@ -149,7 +160,23 @@ class KernelPathDataplane(Dataplane):
         self.kernel.filters.append(rule)
 
     def configure_qos(self, config: QosConfig) -> None:
-        configure_cgroup_qos(self.kernel, self.kernel.netstack.egress, config)
+        """tc by cgroup: replace the egress qdisc with DRR over the
+        configured weights (plus the default class), and have the stack
+        classify each packet by its sender's cgroup."""
+        weights = dict(config.weights_by_cgroup)
+        weights.setdefault(DEFAULT_CLASS, 1)
+        egress = self.kernel.netstack.egress
+        egress.point.policy = config
+        egress.replace_qdisc(DrrQdisc(weights=weights, quantum_bytes=config.quantum_bytes))
+        cgroups = self.kernel.cgroups
+
+        def classify(_pkt: Packet, pid: Optional[int]) -> str:
+            if pid is None:
+                return DEFAULT_CLASS
+            path = cgroups.group_of(pid).path
+            return path if path in weights else DEFAULT_CLASS
+
+        self.kernel.netstack.classify = classify
 
     def arp_entries(self) -> List[object]:
         return self.kernel.arp_cache.entries()

@@ -2,32 +2,26 @@
 
 The paper's "physical movement" case: instead of crossing the user/kernel
 boundary, every packet crosses a *core* boundary. The sidecar is
-OS-integrated (it knows which process owns each queue, can block/wake
-threads, runs its kernel's netfilter, flow cache, cgroup classifier and
-capture tap on its own core), so it supports everything the kernel path
-does — but each packet pays cross-core coherence traffic plus the sidecar
-core's time, and the sidecar core itself is burned for the deployment's
-lifetime. E2 measures both.
+OS-integrated: it is the kernel path with the stack's per-packet work moved
+onto its own core. It shares the kernel path's NIC, socket table and egress
+qdisc, runs its kernel's netfilter, flow cache, cgroup classifier and
+capture tap, and blocks and wakes threads through the kernel's sockets, so
+it supports everything the kernel path does — but each packet pays
+cross-core coherence traffic plus the sidecar core's time, and the sidecar
+core itself is burned for the deployment's lifetime. E2 measures both.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import CostModel
-from ..errors import EndpointClosed, InvalidSyscall, UnsupportedOperation, WouldBlock
+from ..errors import EndpointClosed, InvalidSyscall, WouldBlock
 from ..host.machine import Machine
-from ..interpose import InterpositionPoint
-from ..kernel.kernel import Kernel
-from ..kernel.netfilter import DROP, NetfilterRule
+from ..kernel.netfilter import DROP
 from ..kernel.process import owner_info
-from ..kernel.qdisc import PfifoQdisc
-from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.link import Link
 from ..net.packet import Packet
-from ..nic.base import BasicNic
 from ..sim import Signal, SucceedWith
 from ..trace import (
     STAGE_COHERENCE,
@@ -37,35 +31,19 @@ from ..trace import (
     STAGE_SCHED_WAKE,
     charge,
 )
-from .base import (
-    Dataplane,
-    Endpoint,
-    QosConfig,
-    _as_bool,
-    build_packet_by_ip,
-    configure_cgroup_qos,
-    describe_qos,
-)
-
-Message = Tuple[int, IPv4Address, int]
+from .base import Message, _as_bool, build_packet_by_ip
+from .kernel_path import KernelPathDataplane, SocketEndpoint
 
 
-class SidecarEndpoint(Endpoint):
-    """App-side queue pair into the sidecar."""
-
-    def __init__(self, dataplane: "SidecarDataplane", proc, proto: int, sock):
-        super().__init__(dataplane, proc, proto, sock.port)
-        self._dp = dataplane
-        self._sock = sock
-        self.rx_queue: Deque[Message] = deque()
-        self.peer: Optional[Tuple[IPv4Address, int]] = None
+class SidecarEndpoint(SocketEndpoint):
+    """App-side queue pair into the sidecar, over a kernel socket."""
 
     @property
     def _core(self):
         return self._dp.machine.cpus[self.proc.core_id]
 
     def connect(self, dst_ip: IPv4Address, dport: int) -> Signal:
-        self.peer = (dst_ip, dport)
+        self.sock.connect(dst_ip, dport)
         done = Signal("sidecar.connect")
         self._dp.machine.sim.after(0, done.succeed, True)
         return done
@@ -79,9 +57,7 @@ class SidecarEndpoint(Endpoint):
         """One cross-core handoff per burst. The coherence traffic itself
         stays proportional to bytes — physical movement does not amortize,
         which is exactly the §1 distinction E2/E12 measure."""
-        dst = dst or self.peer
-        if dst is None:
-            raise UnsupportedOperation("send without destination on unconnected endpoint")
+        dst = self._dst(dst)
         pkts = [
             self._dp.build_packet(self, dst[0], dst[1], length) for length in payload_lens
         ]
@@ -94,26 +70,17 @@ class SidecarEndpoint(Endpoint):
         if self.closed:
             self._dp.machine.sim.after(0, Signal.fail, result, EndpointClosed("closed"))
             return result
-        if self.rx_queue:
-            msgs = [self.rx_queue.popleft() for _ in range(min(max_msgs, len(self.rx_queue)))]
+        queue = self.sock.rx_queue
+        if queue:
+            msgs = [queue.popleft() for _ in range(min(max_msgs, len(queue)))]
             self._drain(msgs, result)
             return result
         if not blocking:
             self._dp.machine.sim.after(0, Signal.fail, result, WouldBlock("queue empty"))
             return result
-        woken = self._dp.kernel.scheduler.block(self.proc, f"sidecar:{self.port}")
-        self._dp.register_waiter(self, woken)
+        woken = self._dp.kernel.netstack.block_reader(self.proc, self.sock)
         woken.add_callback(_WokenRead(self, max_msgs, result))
         return result
-
-    def close(self) -> None:
-        """Release the kernel socket and fail a blocked reader."""
-        if not self.closed:
-            dp = self._dp
-            dp.kernel.sockets.close(self._sock)
-            if dp._waiters.pop((self.proto, self.port), None) is not None:
-                dp.kernel.scheduler.wake(self.proc, via_interrupt=False)
-        super().close()
 
     def _drain(self, msgs: List[Message], result: Signal) -> None:
         """Read ``msgs``' descriptors on the app core, then hand them over."""
@@ -142,8 +109,9 @@ class _WokenRead:
             self.result.fail(EndpointClosed("closed"))
             return
         msgs = [woken.value]
-        while ep.rx_queue and len(msgs) < self.max_msgs:
-            msgs.append(ep.rx_queue.popleft())
+        queue = ep.sock.rx_queue
+        while queue and len(msgs) < self.max_msgs:
+            msgs.append(queue.popleft())
         if ep._dp.costs.trace:
             # Bugfix (gated on ``costs.trace`` to keep the seed event
             # trace byte-identical): the wake path used to hand the
@@ -155,11 +123,10 @@ class _WokenRead:
         self.result.succeed(msgs)
 
 
-class SidecarDataplane(Dataplane):
-    """Interposition proxy pinned to a dedicated core."""
+class SidecarDataplane(KernelPathDataplane):
+    """The kernel path with its stack pinned to a dedicated core."""
 
     name = "sidecar"
-    supports_blocking_io = True
 
     def __init__(
         self,
@@ -170,47 +137,10 @@ class SidecarDataplane(Dataplane):
         sidecar_core: Optional[int] = None,
         n_queues: int = 8,
     ):
-        self.machine = machine
-        self.costs: CostModel = machine.costs
-        self.host_ip = host_ip
-        self.host_mac = host_mac
         self.sidecar_core_id = (
             sidecar_core if sidecar_core is not None else len(machine.cpus) - 1
         )
-        machine.tracer.plane = self.name
-        self.nic = BasicNic(
-            machine.sim, machine.costs, machine.dma, egress, n_queues=n_queues,
-            fastpath=machine.fastpath, tracer=machine.tracer,
-        )
-        self.kernel = Kernel(machine, host_ip, host_mac, nic_send=self.nic.tx)
-        for queue in self.nic.queues:
-            queue.set_handler(self._sidecar_rx_burst)
-        self.egress_runner = PacedQdiscRunner(
-            machine.sim, PfifoQdisc(), egress.rate_bps, self.nic.tx, name="sidecar_egress"
-        )
-        self._endpoints: Dict[Tuple[int, int], SidecarEndpoint] = {}
-        self._waiters: Dict[Tuple[int, int], Signal] = {}
-        # The sidecar's interposition mechanisms, registered with the engine
-        # ("netfilter" is registered by Kernel itself).
-        engine = machine.interpose
-        qdisc_point = engine.register(InterpositionPoint(
-            name="qdisc", plane="sidecar", mechanism="qdisc",
-            install_latency_ns=self.costs.kernel_update_ns,
-            target=self.egress_runner,
-        ))
-        qdisc_point.describe = lambda: describe_qos(qdisc_point.policy)
-        self.egress_runner.point = qdisc_point
-        self.sniffer = self.kernel.netstack.sniffer
-        self.sniffer.point = engine.register(InterpositionPoint(
-            name="sniffer", plane="sidecar", mechanism="tap",
-            install_latency_ns=self.costs.kernel_update_ns,
-            target=self.sniffer,
-        ))
-        self.nic.steering.point = engine.register(InterpositionPoint(
-            name="steering", plane="nic", mechanism="steering",
-            install_latency_ns=self.costs.table_update_ns,
-            target=self.nic.steering,
-        ))
+        super().__init__(machine, host_ip, host_mac, egress, n_queues=n_queues)
 
     @property
     def _score(self):
@@ -219,19 +149,7 @@ class SidecarDataplane(Dataplane):
     # --- app-facing -------------------------------------------------------------
 
     def open_endpoint(self, proc, proto: int, port: Optional[int] = None) -> SidecarEndpoint:
-        # The sidecar is OS-integrated: ports go through the kernel socket
-        # table, so conflicts and privileged ports are enforced (and
-        # netstat keeps working).
-        if port is None:
-            sock = self.kernel.sockets.bind_ephemeral(proc, proto)
-        else:
-            sock = self.kernel.sockets.bind(proc, proto, port)
-        ep = SidecarEndpoint(self, proc, proto, sock)
-        self._endpoints[(proto, sock.port)] = ep
-        return ep
-
-    def register_waiter(self, ep: SidecarEndpoint, woken: Signal) -> None:
-        self._waiters[(ep.proto, ep.port)] = woken
+        return SidecarEndpoint(self, proc, proto, port)
 
     build_packet = build_packet_by_ip
 
@@ -300,7 +218,8 @@ class SidecarDataplane(Dataplane):
                             pkt.meta.trace.close(self.machine.sim.now)
                         continue
                     cls = stack.tx_class(pkt, ep.proc, verdict, fp_entry)
-                    if self.egress_runner.submit(pkt, cls):
+                    if stack.egress.submit(pkt, cls):
+                        ep.sock.tx_bytes += pkt.payload_len
                         admitted += 1
                     elif pkt.meta.trace is not None:
                         pkt.meta.trace.close(self.machine.sim.now)
@@ -313,10 +232,7 @@ class SidecarDataplane(Dataplane):
 
     # --- RX: NIC -> sidecar core -> coherence -> app ---------------------------------
 
-    def wire_rx(self, pkt: Packet) -> None:
-        self.nic.rx_from_wire(pkt)
-
-    def _sidecar_rx_burst(self, pkts: List[Packet]) -> None:
+    def _nic_rx_burst(self, pkts: List[Packet]) -> None:
         """Burst softirq on the sidecar core: one execute event covers the
         whole burst's protocol work (coherence cost still per packet)."""
         staged_pkts = []
@@ -325,15 +241,15 @@ class SidecarDataplane(Dataplane):
             staged = self._rx_stage(pkt)
             if staged is None:
                 continue
-            ep, verdict, work = staged
+            sock, verdict, work = staged
             total_work += work
-            staged_pkts.append((pkt, ep, verdict))
+            staged_pkts.append((pkt, sock, verdict))
         if not staged_pkts:
             return
 
         def _done(_sig: Signal) -> None:
-            for pkt, ep, verdict in staged_pkts:
-                self._rx_effect(pkt, ep, verdict)
+            for pkt, sock, verdict in staged_pkts:
+                self._rx_effect(pkt, sock, verdict)
 
         # trace: stage spans charged in _rx_stage; waits absorbed at _rx_effect.
         self._score.execute(total_work, "sidecar_rx_burst").add_callback(_done)
@@ -345,9 +261,11 @@ class SidecarDataplane(Dataplane):
             return None
         ip = pkt.ipv4
         l4 = pkt.l4
-        has_l4 = ip is not None and l4 is not None
-        ep = self._endpoints.get((ip.proto, l4.dport)) if has_l4 else None
-        owner = owner_info(ep.proc) if ep else None
+        sock = (
+            self.kernel.sockets.lookup(ip.proto, l4.dport)
+            if ip is not None and l4 is not None else None
+        )
+        owner = owner_info(sock.owner) if sock else None
         if owner is not None:
             pkt.meta.owner_pid, pkt.meta.owner_uid, pkt.meta.owner_comm = owner
         verdict, filter_ns, entry = self.kernel.netstack.rx_verdict(pkt, owner)
@@ -357,18 +275,18 @@ class SidecarDataplane(Dataplane):
             + charge(STAGE_FASTPATH if entry is not None else STAGE_NETFILTER,
                      filter_ns, ctx, label="input_chain")
         )
-        if ep is not None:
+        if sock is not None:
             work += charge(
                 STAGE_COHERENCE,
                 self.machine.coherence.transfer_cost_ns(
-                    pkt.wire_len + 64, self.sidecar_core_id, ep.proc.core_id
+                    pkt.wire_len + 64, self.sidecar_core_id, sock.owner.core_id
                 ),
                 ctx,
                 label="x_core",
             )
-        return ep, verdict, work
+        return sock, verdict, work
 
-    def _rx_effect(self, pkt: Packet, ep: Optional[SidecarEndpoint], verdict: str) -> None:
+    def _rx_effect(self, pkt: Packet, sock, verdict: str) -> None:
         if pkt.meta.trace is not None:
             # Whatever elapsed beyond the charged spans (steering, burst
             # siblings' share of the softirq, sidecar-core queueing) is wait.
@@ -377,25 +295,11 @@ class SidecarDataplane(Dataplane):
             )
             pkt.meta.trace.close(self.machine.sim.now)
         self.sniffer.mirror(pkt)
-        if verdict == DROP or ep is None or ep.closed:
+        if verdict == DROP or sock is None:
             return
-        msg: Message = (pkt.payload_len, pkt.ipv4.src, pkt.l4.sport)
-        waiter = self._waiters.pop((ep.proto, ep.port), None)
-        if waiter is not None:
-            self.kernel.scheduler.wake(ep.proc, value=msg)
-        else:
-            ep.rx_queue.append(msg)
+        self.kernel.netstack.handoff(sock, pkt)
 
-    # --- administrative surface ----------------------------------------------------
-
-    def install_filter_rule(self, rule: NetfilterRule) -> None:
-        self.kernel.filters.append(rule)
-
-    def configure_qos(self, config: QosConfig) -> None:
-        configure_cgroup_qos(self.kernel, self.egress_runner, config)
-
-    def arp_entries(self) -> List[object]:
-        return self.kernel.arp_cache.entries()
+    # --- accounting ------------------------------------------------------------------
 
     def data_movements(self) -> Dict[str, int]:
         return {

@@ -1,8 +1,9 @@
-"""Shared experiment plumbing: the plane roster, workload drivers, tables."""
+"""Shared experiment plumbing: the plane roster, workload drivers, tables,
+and the parity harness of E18, E21, E22 and E23."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from .. import units
 from ..config import DEFAULT_COSTS, CostModel
@@ -19,6 +20,15 @@ from ..dataplanes.base import Dataplane
 from ..apps import BulkSender
 
 Row = Dict[str, object]
+
+#: Pinned relative tolerance of the fidelity contract (E21, E22, E23):
+#: fast-forwarded modeled-time totals must match packet-level runs within
+#: this.
+FF_TOLERANCE = 0.02
+
+#: The columns of a parity table: one observable of two legs run from
+#: identical schedules (E18's legs are no-migration and live-migration).
+PARITY_COLUMNS = ["observable", "exact", "hybrid", "rel_err", "ok"]
 
 
 def planes_under_test(include_kopi: bool = True) -> List[Type[Dataplane]]:
@@ -163,3 +173,87 @@ def run_burst_tx(
     )
     row["batch"] = batch_size
     return row
+
+
+# --- parity harness (E18, E21, E22, E23) -----------------------------------
+
+
+def _parity_row(observable: str, exact: object, hybrid: object, exact_match: bool) -> Row:
+    e, h = float(exact), float(hybrid)  # type: ignore[arg-type]
+    err = abs(h - e) / max(abs(e), 1e-9)
+    return {
+        "observable": observable, "exact": e, "hybrid": h, "rel_err": err,
+        "ok": (h == e) if exact_match else (err <= FF_TOLERANCE),
+    }
+
+
+def parity_rows(
+    exact: Dict[str, object],
+    hybrid: Dict[str, object],
+    exact_keys: Sequence[str],
+    tolerance_keys: Sequence[str] = (),
+) -> List[Row]:
+    """One row per observable of two parity legs: each of ``exact_keys``
+    must match exactly, each of ``tolerance_keys`` within
+    :data:`FF_TOLERANCE`."""
+    return [_parity_row(k, exact[k], hybrid[k], True) for k in exact_keys] + [
+        _parity_row(k, exact[k], hybrid[k], False) for k in tolerance_keys
+    ]
+
+
+def stage_rows(exact_work: Dict[str, int], hybrid_work: Dict[str, int],
+               label: str = "stage") -> List[Row]:
+    """One row per trace stage of two legs' service work by stage, each
+    within :data:`FF_TOLERANCE`."""
+    return [
+        _parity_row(f"{label}:{stage}", exact_work.get(stage, 0),
+                    hybrid_work.get(stage, 0), False)
+        for stage in sorted(set(exact_work) | set(hybrid_work))
+    ]
+
+
+def machine_observables(machine, busy0: int) -> Dict[str, object]:
+    """What a parity leg compares on one machine: verdict-cache hits and
+    misses, CPU busy time since ``busy0``, traced service work by stage
+    (residency waits excluded: fluid epochs do not model them), whether
+    every closed trace's spans sum to its latency, and the fast-forward
+    stats when fast-forward is on."""
+    fp = machine.fastpath
+    tracer = machine.tracer
+    closed = tracer.closed_contexts() if tracer.enabled else []
+    obs: Dict[str, object] = {
+        "fp_hits": fp.hits if fp is not None else 0,
+        "fp_misses": fp.misses if fp is not None else 0,
+        "cpu_busy_ns": machine.cpus.total_busy_ns() - busy0,
+        "work_by_stage": tracer.work_by_stage(include_wait=False) if tracer.enabled else {},
+        "conserved": all(c.span_sum() == c.latency_ns() for c in closed),
+    }
+    if machine.ff is not None:
+        obs["ff"] = machine.ff.stats()
+    return obs
+
+
+def drain_until_dry(run_all: Callable[[], object], eps: Sequence, max_msgs: int,
+                    on_read: Optional[Callable[[list], None]] = None) -> int:
+    """Non-blocking reads of up to ``max_msgs`` on every endpoint in
+    ``eps``, then ``run_all()``, pass after pass until a pass reads
+    nothing. Shared rings pool packets per process while fast-forward
+    credit is per connection, so one endpoint's read can take a sibling's
+    share; a later pass picks up the rest. Ring packets and fast-forward
+    credit look identical here. ``on_read``, if given, sees each read's
+    messages. Returns how many messages were read."""
+    consumed = [0]
+
+    def _count(sig) -> None:
+        if sig.ok:
+            consumed[0] += len(sig.value)
+            if on_read is not None:
+                on_read(sig.value)
+
+    while True:
+        before = consumed[0]
+        for ep in eps:
+            ep.recv_burst(max_msgs, blocking=False).add_callback(_count)
+        run_all()
+        if consumed[0] == before:
+            return consumed[0]

@@ -36,8 +36,7 @@ from ..dataplanes.multihost import HostSpec, Rack
 from ..net.addresses import IPv4Address
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_UDP
-from .common import Row, fmt_table
-from .e21_fidelity_crossover import PARITY_COLUMNS
+from .common import PARITY_COLUMNS, Row, drain_until_dry, fmt_table, parity_rows
 
 VIP_IP = IPv4Address.parse("10.0.9.9")
 
@@ -166,24 +165,16 @@ def _send_round(rack: Rack, cli_eps, per_conn: int) -> Tuple[int, int]:
 
 def _drain_backends(rack: Rack, srv_eps, per_flow: Dict[int, int]) -> int:
     """Non-blocking drain of every backend listener until the cluster is
-    dry; tallies per service flow regardless of which machine served it."""
-    consumed = [0]
+    dry; tallies per service flow, which its client port names, regardless
+    of which machine served it."""
 
-    def _count(flow_idx: int):
-        def _cb(sig):
-            if sig.ok:
-                consumed[0] += len(sig.value)
-                per_flow[flow_idx] = per_flow.get(flow_idx, 0) + len(sig.value)
-        return _cb
+    def _tally(msgs) -> None:
+        for _len, _src, sport in msgs:
+            flow_idx = sport - CLIENT_PORT_BASE
+            per_flow[flow_idx] = per_flow.get(flow_idx, 0) + 1
 
-    while True:
-        before = consumed[0]
-        for eps in srv_eps.values():
-            for i, ep in enumerate(eps):
-                ep.recv_burst(64, blocking=False).add_callback(_count(i))
-        rack.run_all()
-        if consumed[0] == before:
-            return consumed[0]
+    listeners = [ep for eps in srv_eps.values() for ep in eps]
+    return drain_until_dry(rack.run_all, listeners, 64, _tally)
 
 
 def _ct_totals(rack: Rack, names: List[str],
@@ -280,17 +271,8 @@ def run_parity(
     leg_costs = _parity_costs(costs, n_flows)
     base = run_leg(n_backends, n_flows, rounds, leg_costs, migrate=False)
     mig = run_leg(n_backends, n_flows, rounds, leg_costs, migrate=True)
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS:
-        b, m = float(base[key]), float(mig[key])
-        err = abs(m - b) / max(abs(b), 1e-9)
-        this_ok = m == b
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": b, "hybrid": m,
-            "rel_err": err, "ok": this_ok,
-        })
+    rows = parity_rows(base, mig, EXACT_KEYS)
+    ok = all(r["ok"] for r in rows)
     flows_ok = base["per_flow"] == mig["per_flow"]
     ok = ok and flows_ok
     record = mig.get("migration")

@@ -16,9 +16,10 @@ This experiment is the safety case for that approximation, in two legs:
   work decomposition (``work_by_stage(include_wait=False)`` — residency
   waits are workload timing, which fluid epochs deliberately do not
   model). Counters must match *exactly*; modeled time within
-  :data:`FF_TOLERANCE`. Conservation (span sums == end-to-end
-  latency) must hold on both legs — for fluid epochs it holds by
-  construction, which is the point of profile-shaped charging.
+  :data:`~repro.experiments.common.FF_TOLERANCE`. Conservation (span
+  sums == end-to-end latency) must hold on both legs — for fluid epochs
+  it holds by construction, which is the point of profile-shaped
+  charging.
 * **(b) wall-clock crossover** — the E8 sweep scaled to 100k+
   connections (UDP and TCP port pools; one host runs out of UDP ports at
   64k). The hybrid leg warms each flow with exact packets until
@@ -42,7 +43,16 @@ from ..dataplanes import Testbed
 from ..dataplanes.testbed import HOST_IP, PEER_IP
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_TCP, PROTO_UDP
-from .common import Row, fmt_table
+from .common import (
+    FF_TOLERANCE,
+    PARITY_COLUMNS,
+    Row,
+    drain_until_dry,
+    fmt_table,
+    machine_observables,
+    parity_rows,
+    stage_rows,
+)
 
 PAYLOAD = 1_458
 BURST_PER_CONN = 4
@@ -62,16 +72,8 @@ EXACT_KEYS = (
     "delivered", "rx_pkts", "fp_hits", "fp_misses",
     "dma_bytes", "dma_ops",
 )
-#: Pinned relative tolerance of the fidelity contract (E21, E22, E23):
-#: fast-forwarded modeled-time totals must match packet-level runs within
-#: this.
-FF_TOLERANCE = 0.02
 #: Modeled-time observables compared within :data:`FF_TOLERANCE`.
 TOLERANCE_KEYS = ("cpu_busy_ns", "service_ns_per_pkt")
-
-PARITY_COLUMNS = [
-    "observable", "exact", "hybrid", "rel_err", "ok",
-]
 
 
 def _conn_slots(n_conns: int) -> "List[tuple[int, int]]":
@@ -104,28 +106,6 @@ def _send_burst(tb: Testbed, eps, slots, per_conn: int, subset=None) -> int:
     return i
 
 
-def _drain(tb: Testbed, eps, per_conn: int, subset=None) -> int:
-    """Non-blocking drain: each endpoint reads its burst back, counting
-    messages (ring packets and fast-forward credit look identical here)."""
-    idx = list(range(len(eps)) if subset is None else subset)
-    consumed = [0]
-
-    def _count(sig):
-        if sig.ok:
-            consumed[0] += len(sig.value)
-
-    # Until dry: shared rings pool packets per process while fast-forward
-    # credit is per connection, so one endpoint's read can consume a
-    # sibling's ring share — a second pass picks up the remainder.
-    while True:
-        before = consumed[0]
-        for e in idx:
-            eps[e].recv_burst(per_conn, blocking=False).add_callback(_count)
-        tb.run_all()
-        if consumed[0] == before:
-            return consumed[0]
-
-
 def _leg_testbed(n_conns: int, costs: CostModel, n_cores: int = 8) -> Testbed:
     tb = Testbed(
         NormanOS, costs=costs, n_cores=n_cores,
@@ -146,28 +126,16 @@ def _leg_testbed(n_conns: int, costs: CostModel, n_cores: int = 8) -> Testbed:
 
 
 def _observe(tb: Testbed, delivered: int, busy0: int) -> Dict[str, object]:
-    m = tb.machine
-    fp = m.fastpath
-    tracer = m.tracer
-    work = tracer.work_by_stage(include_wait=False) if tracer.enabled else {}
-    service_ns = sum(work.values())
-    closed = tracer.closed_contexts() if tracer.enabled else []
-    dma = m.copies.layer("dma_direct")
-    obs: Dict[str, object] = {
+    obs = machine_observables(tb.machine, busy0)
+    dma = tb.machine.copies.layer("dma_direct")
+    obs.update({
         "delivered": delivered,
         "rx_pkts": int(tb.dataplane.nic.metrics.counter("rx_pkts").value),
-        "fp_hits": fp.hits if fp is not None else 0,
-        "fp_misses": fp.misses if fp is not None else 0,
         "dma_bytes": dma.bytes_copied,
         "dma_ops": dma.copies,
-        "cpu_busy_ns": m.cpus.total_busy_ns() - busy0,
-        "service_ns_per_pkt": service_ns / max(delivered, 1),
-        "work_by_stage": work,
-        "conserved": all(c.span_sum() == c.latency_ns() for c in closed),
+        "service_ns_per_pkt": sum(obs["work_by_stage"].values()) / max(delivered, 1),
         "events": tb.sim.events_fired,
-    }
-    if m.ff is not None:
-        obs["ff"] = m.ff.stats()
+    })
     return obs
 
 
@@ -191,7 +159,7 @@ def run_leg(
     for _round in range(rounds):
         _send_burst(tb, eps, slots, BURST_PER_CONN)
         tb.run_all()
-        delivered += _drain(tb, eps, BURST_PER_CONN)
+        delivered += drain_until_dry(tb.run_all, eps, BURST_PER_CONN)
     return _observe(tb, delivered, busy0)
 
 
@@ -204,40 +172,19 @@ def run_parity(
     observable table, the per-stage comparison, and a verdict."""
     exact = run_leg(n_conns, packets_total, costs, fast_forward=False)
     hybrid = run_leg(n_conns, packets_total, costs, fast_forward=True)
-    tol = FF_TOLERANCE
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS + TOLERANCE_KEYS:
-        e, h = float(exact[key]), float(hybrid[key])
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = (h == e) if key in EXACT_KEYS else (err <= tol)
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    stage_rows: List[Row] = []
-    stages = sorted(set(exact["work_by_stage"]) | set(hybrid["work_by_stage"]))
-    for stage in stages:
-        e = float(exact["work_by_stage"].get(stage, 0))
-        h = float(hybrid["work_by_stage"].get(stage, 0))
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = err <= tol
-        ok = ok and this_ok
-        stage_rows.append({
-            "observable": f"stage:{stage}", "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    ok = ok and exact["conserved"] and hybrid["conserved"]
+    rows = parity_rows(exact, hybrid, EXACT_KEYS, TOLERANCE_KEYS)
+    stages = stage_rows(exact["work_by_stage"], hybrid["work_by_stage"])
+    ok = (all(r["ok"] for r in rows + stages)
+          and exact["conserved"] and hybrid["conserved"])
     ff = hybrid["ff"]
     fluid_fraction = ff["fluid_packets"] / max(hybrid["delivered"], 1)
     return {
         "rows": rows,
-        "stage_rows": stage_rows,
+        "stage_rows": stages,
         "exact": exact,
         "hybrid": hybrid,
-        "ok": bool(ok),
-        "tolerance": tol,
+        "ok": ok,
+        "tolerance": FF_TOLERANCE,
         "fluid_fraction": fluid_fraction,
         "ff": ff,
     }
@@ -280,7 +227,7 @@ def run_speedup(
     for _ in range(warmup):
         _send_burst(tb, eps, slots, 1)
         tb.run_all()
-        _drain(tb, eps, 1)
+        drain_until_dry(tb.run_all, eps, 1)
     promoted = ff.promoted_count
     bulk = packets_per_conn - warmup
     absorbed = 0
@@ -304,7 +251,7 @@ def run_speedup(
     for _ in range(2):
         _send_burst(ex, ex_eps, ex_slots, BURST_PER_CONN, subset=subset)
         ex.run_all()
-        _drain(ex, ex_eps, BURST_PER_CONN, subset=subset)
+        drain_until_dry(ex.run_all, [ex_eps[e] for e in subset], BURST_PER_CONN)
     exact_wall = time.perf_counter() - t0
     exact_pkts = 2 * BURST_PER_CONN * len(subset)
 

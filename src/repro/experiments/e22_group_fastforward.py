@@ -17,7 +17,7 @@ verdict-cache hits/misses, DMA direct ledger) plus the TX set: NIC
 ``tx_pkts``, peer ``rx_pkts``/``rx_bytes``, egress link ``sent``, qdisc
 ``enqueued``/``emitted``, doorbell ``mmio_writes``, and the TX DMA copy
 ledger. Modeled time (CPU busy, per-stage service work) agrees within
-:data:`~repro.experiments.e21_fidelity_crossover.FF_TOLERANCE`.
+:data:`~repro.experiments.common.FF_TOLERANCE`.
 
 Grouping replaces one epoch event, tracer record, and horizon timer per
 flow per flush round with a handful of group charges (one per app core).
@@ -27,20 +27,24 @@ EXPERIMENTS.md; per-flow charging no longer exists.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..dataplanes import Testbed
 from ..dataplanes.testbed import PEER_IP
 from ..host.copies import LAYER_DMA
-from .common import Row, fmt_table
-from .e21_fidelity_crossover import (
-    BURST_PER_CONN,
+from .common import (
     FF_TOLERANCE,
     PARITY_COLUMNS,
+    drain_until_dry,
+    fmt_table,
+    parity_rows,
+    stage_rows,
+)
+from .e21_fidelity_crossover import (
+    BURST_PER_CONN,
     PAYLOAD,
     TOLERANCE_KEYS,
-    _drain,
     _leg_testbed,
     _observe,
     _send_burst,
@@ -120,7 +124,7 @@ def run_leg(
     for _round in range(rounds):
         _send_burst(tb, eps, slots, BURST_PER_CONN)
         tb.run_all()
-        delivered += _drain(tb, eps, BURST_PER_CONN)
+        delivered += drain_until_dry(tb.run_all, eps, BURST_PER_CONN)
         tx_sent += _send_tx(tb, eps, TX_PER_ROUND)
         tb.run_all()
     obs = _observe(tb, delivered, busy0)
@@ -136,31 +140,10 @@ def run_parity(
     combined RX+TX schedule."""
     exact = run_leg(n_conns, rounds, costs, fast_forward=False)
     hybrid = run_leg(n_conns, rounds, costs, fast_forward=True)
-    tol = FF_TOLERANCE
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS + TOLERANCE_KEYS:
-        e, h = float(exact[key]), float(hybrid[key])
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = (h == e) if key in EXACT_KEYS else (err <= tol)
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    stage_rows: List[Row] = []
-    stages = sorted(set(exact["work_by_stage"]) | set(hybrid["work_by_stage"]))
-    for stage in stages:
-        e = float(exact["work_by_stage"].get(stage, 0))
-        h = float(hybrid["work_by_stage"].get(stage, 0))
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = err <= tol
-        ok = ok and this_ok
-        stage_rows.append({
-            "observable": f"stage:{stage}", "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    ok = ok and exact["conserved"] and hybrid["conserved"]
+    rows = parity_rows(exact, hybrid, EXACT_KEYS, TOLERANCE_KEYS)
+    stages = stage_rows(exact["work_by_stage"], hybrid["work_by_stage"])
+    ok = (all(r["ok"] for r in rows + stages)
+          and exact["conserved"] and hybrid["conserved"])
     ff = hybrid["ff"]
     total_pkts = int(hybrid["delivered"]) + int(hybrid["tx_sent"])
     fluid_fraction = ff["fluid_packets"] / max(total_pkts, 1)
@@ -171,11 +154,11 @@ def run_parity(
     ok = ok and grouped
     return {
         "rows": rows,
-        "stage_rows": stage_rows,
+        "stage_rows": stages,
         "exact": exact,
         "hybrid": hybrid,
-        "ok": bool(ok),
-        "tolerance": tol,
+        "ok": ok,
+        "tolerance": FF_TOLERANCE,
         "fluid_fraction": fluid_fraction,
         "grouped": bool(grouped),
         "ff": ff,

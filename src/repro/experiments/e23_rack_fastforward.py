@@ -39,7 +39,7 @@ boundary's effect is simulated. Two legs defend it:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..core import NormanOS
@@ -51,8 +51,16 @@ from ..dataplanes.multihost import (
 from ..host.copies import LAYER_DMA, LAYER_DMA_DIRECT
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_UDP
-from .common import Row, fmt_table
-from .e21_fidelity_crossover import FF_TOLERANCE, PARITY_COLUMNS
+from .common import (
+    FF_TOLERANCE,
+    PARITY_COLUMNS,
+    Row,
+    drain_until_dry,
+    fmt_table,
+    machine_observables,
+    parity_rows,
+    stage_rows,
+)
 
 PAYLOAD = 1_458
 PARITY_CONNS = 128
@@ -151,42 +159,6 @@ def _send_round(tb: TwoHostTestbed, a_eps, per_conn: int,
     return i
 
 
-def _drain_b(tb: TwoHostTestbed, b_eps, per_conn: int, subset=None) -> int:
-    """Non-blocking drain of B's endpoints until dry (ring packets and
-    fluid credit look identical to the application)."""
-    idx = list(range(len(b_eps)) if subset is None else subset)
-    consumed = [0]
-
-    def _count(sig):
-        if sig.ok:
-            consumed[0] += len(sig.value)
-
-    while True:
-        before = consumed[0]
-        for e in idx:
-            b_eps[e].recv_burst(per_conn, blocking=False).add_callback(_count)
-        tb.run_all()
-        if consumed[0] == before:
-            return consumed[0]
-
-
-def _host_observables(host, prefix: str, busy0: int,
-                      obs: Dict[str, object]) -> None:
-    m = host.machine
-    fp = m.fastpath
-    tracer = m.tracer
-    work = tracer.work_by_stage(include_wait=False) if tracer.enabled else {}
-    closed = tracer.closed_contexts() if tracer.enabled else []
-    obs[f"{prefix}_fp_hits"] = fp.hits if fp is not None else 0
-    obs[f"{prefix}_fp_misses"] = fp.misses if fp is not None else 0
-    obs[f"{prefix}_cpu_busy_ns"] = m.cpus.total_busy_ns() - busy0
-    obs[f"work_{prefix}"] = work
-    obs[f"conserved_{prefix}"] = all(
-        c.span_sum() == c.latency_ns() for c in closed)
-    if m.ff is not None:
-        obs[f"ff_{prefix}"] = m.ff.stats()
-
-
 def _observe(tb: TwoHostTestbed, delivered: int, busy0_a: int,
              busy0_b: int) -> Dict[str, object]:
     a, b = tb.host_a, tb.host_b
@@ -213,8 +185,9 @@ def _observe(tb: TwoHostTestbed, delivered: int, busy0_a: int,
         "downlink_bytes": int(b.downlink.metrics.meter("bytes").total_bytes),
         "events": tb.sim.events_fired,
     }
-    _host_observables(a, "a", busy0_a, obs)
-    _host_observables(b, "b", busy0_b, obs)
+    for prefix, host, busy0 in (("a", a, busy0_a), ("b", b, busy0_b)):
+        for key, value in machine_observables(host.machine, busy0).items():
+            obs[f"{prefix}_{key}"] = value
     if tb.rack is not None:
         obs["rack"] = tb.rack.stats()
     return obs
@@ -249,7 +222,7 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
         if tb.rack is not None:
             tb.rack.flush_all()
             tb.run_all()
-        delivered += _drain_b(tb, b_eps, SENDS_PER_ROUND)
+        delivered += drain_until_dry(tb.run_all, b_eps, SENDS_PER_ROUND)
     return _observe(tb, delivered, busy0_a, busy0_b)
 
 
@@ -262,30 +235,13 @@ def run_parity(
     schedule."""
     exact = run_leg(n_conns, rounds, costs, exact=True)
     hybrid = run_leg(n_conns, rounds, costs)
-    tol = FF_TOLERANCE
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS + TOLERANCE_KEYS:
-        e, h = float(exact[key]), float(hybrid[key])
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = (h == e) if key in EXACT_KEYS else (err <= tol)
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    stage_rows: List[Row] = []
-    for prefix in ("a", "b"):
-        wk_e, wk_h = exact[f"work_{prefix}"], hybrid[f"work_{prefix}"]
-        for stage in sorted(set(wk_e) | set(wk_h)):
-            e, h = float(wk_e.get(stage, 0)), float(wk_h.get(stage, 0))
-            err = abs(h - e) / max(abs(e), 1e-9)
-            this_ok = err <= tol
-            ok = ok and this_ok
-            stage_rows.append({
-                "observable": f"stage_{prefix}:{stage}", "exact": e,
-                "hybrid": h, "rel_err": err, "ok": this_ok,
-            })
+    rows = parity_rows(exact, hybrid, EXACT_KEYS, TOLERANCE_KEYS)
+    stages = [
+        row for prefix in ("a", "b")
+        for row in stage_rows(exact[f"{prefix}_work_by_stage"],
+                              hybrid[f"{prefix}_work_by_stage"], f"stage_{prefix}")
+    ]
+    ok = all(r["ok"] for r in rows + stages)
     # Conservation is an exact-match observable *between legs*, not an
     # absolute: cross-host TX contexts get the far downlink's wire time
     # charged after close in exact mode (see module docstring), and the
@@ -293,24 +249,24 @@ def run_parity(
     # too — on this workload B's contexts conserve in both legs except
     # for B's single switch-teach send, which breaks both equally.
     conserved_ok = (
-        exact["conserved_a"] == hybrid["conserved_a"]
-        and exact["conserved_b"] == hybrid["conserved_b"]
+        exact["a_conserved"] == hybrid["a_conserved"]
+        and exact["b_conserved"] == hybrid["b_conserved"]
     )
     ok = ok and conserved_ok
     rack = hybrid.get("rack", {})
     bound_ok = rack.get("bindings", 0) >= n_conns
     ok = ok and bound_ok
-    ff_a = hybrid.get("ff_a", {})
-    ff_b = hybrid.get("ff_b", {})
+    ff_a = hybrid.get("a_ff", {})
+    ff_b = hybrid.get("b_ff", {})
     fluid = ff_a.get("fluid_packets", 0) + ff_b.get("fluid_packets", 0)
     total = int(hybrid["b_delivered"]) * 2  # each packet has a TX and RX leg
     return {
         "rows": rows,
-        "stage_rows": stage_rows,
+        "stage_rows": stages,
         "exact": exact,
         "hybrid": hybrid,
-        "ok": bool(ok),
-        "tolerance": tol,
+        "ok": ok,
+        "tolerance": FF_TOLERANCE,
         "conserved_ok": bool(conserved_ok),
         "bound_ok": bool(bound_ok),
         "fluid_fraction": fluid / max(total, 1),
@@ -381,7 +337,7 @@ def run_crossover(
         probe_pkts += _send_round(ex, ex_a_eps, SENDS_PER_ROUND,
                                   subset=subset)
         ex.run_all()
-        _drain_b(ex, ex_b_eps, SENDS_PER_ROUND, subset=subset)
+        drain_until_dry(ex.run_all, [ex_b_eps[e] for e in subset], SENDS_PER_ROUND)
     exact_wall = time.perf_counter() - t0
 
     exact_rate = probe_pkts / max(exact_wall, 1e-9)

@@ -38,31 +38,33 @@ from . import f1_architecture as f1
 from . import s1_tail_latency as s1
 from .common import fmt_table
 
-SECTIONS = (
-    ("E1 — dataplane overhead (§1)", e1.main),
-    ("E2 — interposition placement (§1)", e2.main),
-    ("E3 — capability matrix (§2)", e3.main),
-    ("E4 — debugging the ARP flood (§2)", e4.main),
-    ("E5 — partitioning ports (§2)", e5.main),
-    ("E6 — blocking vs polling I/O (§2/§4.3)", e6.main),
-    ("E7 — QoS on the port-hopping game (§2)", e7.main),
-    ("E8 — connection scaling / DDIO cliff (§5)", e8.main),
-    ("E9 — NIC resource exhaustion (§5)", e9.main),
-    ("E10 — programmability & reconfiguration (§3/§4.4)", e10.main),
-    ("E11 — shared-rings ablation (§5)", e11.main),
-    ("E12 — batching: what amortizes and what cannot", e12.main),
-    ("E13 — zero-copy: where elision pays and where it cannot", e13.main),
-    ("E14 — policy churn: atomic commits and the stale window", e14.main),
-    ("E15 — flow fast path: megaflow-style verdict cache", e15.main),
-    ("E16 — latency anatomy: attributed stage decomposition", e16.main),
-    ("E17 — multi-tenant isolation: hog vs victims, per-tenant scheduler", e17.main),
-    ("E18 — cluster scale-out: in-switch L4 balancer + live flow migration", e18.main),
-    ("E21 — fidelity crossover: hybrid fast-forward vs packet-exact", e21.main),
-    ("E22 — group fast-forward: one epoch for many flows, TX absorbed", e22.main),
-    ("E23 — rack fast-forward: end-to-end fluid epochs across the switch", e23.main),
-    ("F1 — Figure 1 architecture arrows", f1.main),
-    ("S1 — supplementary: RPC tail latency", s1.main),
-)
+#: Every experiment by its CLI name (``python -m repro <name>``): the
+#: report section title and the ``main`` that prints its table.
+SECTIONS = {
+    "e1": ("E1 — dataplane overhead (§1)", e1.main),
+    "e2": ("E2 — interposition placement (§1)", e2.main),
+    "e3": ("E3 — capability matrix (§2)", e3.main),
+    "e4": ("E4 — debugging the ARP flood (§2)", e4.main),
+    "e5": ("E5 — partitioning ports (§2)", e5.main),
+    "e6": ("E6 — blocking vs polling I/O (§2/§4.3)", e6.main),
+    "e7": ("E7 — QoS on the port-hopping game (§2)", e7.main),
+    "e8": ("E8 — connection scaling / DDIO cliff (§5)", e8.main),
+    "e9": ("E9 — NIC resource exhaustion (§5)", e9.main),
+    "e10": ("E10 — programmability & reconfiguration (§3/§4.4)", e10.main),
+    "e11": ("E11 — shared-rings ablation (§5)", e11.main),
+    "e12": ("E12 — batching: what amortizes and what cannot", e12.main),
+    "e13": ("E13 — zero-copy: where elision pays and where it cannot", e13.main),
+    "e14": ("E14 — policy churn: atomic commits and the stale window", e14.main),
+    "e15": ("E15 — flow fast path: megaflow-style verdict cache", e15.main),
+    "e16": ("E16 — latency anatomy: attributed stage decomposition", e16.main),
+    "e17": ("E17 — multi-tenant isolation: hog vs victims, per-tenant scheduler", e17.main),
+    "e18": ("E18 — cluster scale-out: in-switch L4 balancer + live flow migration", e18.main),
+    "e21": ("E21 — fidelity crossover: hybrid fast-forward vs packet-exact", e21.main),
+    "e22": ("E22 — group fast-forward: one epoch for many flows, TX absorbed", e22.main),
+    "e23": ("E23 — rack fast-forward: end-to-end fluid epochs across the switch", e23.main),
+    "f1": ("F1 — Figure 1 architecture arrows", f1.main),
+    "s1": ("S1 — supplementary: RPC tail latency", s1.main),
+}
 
 
 def quick_report() -> str:
@@ -83,7 +85,7 @@ def quick_report() -> str:
 
 def full_report() -> str:
     parts = []
-    for title, main_fn in SECTIONS:
+    for title, main_fn in SECTIONS.values():
         parts.append("=" * 72)
         parts.append(title)
         parts.append("=" * 72)

@@ -7,7 +7,9 @@ what §2 wants: owner attribution on every packet, a global ARP view, a
 capture tap for tcpdump, and the ability to block/wake readers. The
 sidecar runs this stack's netfilter, flow-cache and classifier stages
 (:meth:`KernelNetStack.rx_verdict`, :meth:`~KernelNetStack.tx_filter`,
-:meth:`~KernelNetStack.tx_class`) on its own core.
+:meth:`~KernelNetStack.tx_class`) on its own core, and delivers through
+its sockets (:meth:`~KernelNetStack.handoff`,
+:meth:`~KernelNetStack.block_reader`) and egress qdisc.
 """
 
 from __future__ import annotations
@@ -353,13 +355,36 @@ class KernelNetStack:
             self.sim.after(0, Signal.fail, result,
                            WouldBlock(f"no data on port {sock.port}"))
             return result
+        woken = self.block_reader(proc, sock)
+        woken.add_callback(_WokenRecv(self, proc, sock, max_msgs, result))
+        return result
+
+    def block_reader(self, proc: Process, sock: KernelSocket) -> Signal:
+        """Put ``proc`` to sleep until :meth:`handoff` brings ``sock`` a
+        message (the wake's value) or :meth:`close` releases it."""
         key = (sock.proto, sock.port)
         if key in self._rx_waiters:
             raise KernelError(f"port {sock.port} already has a blocked reader")
         woken = self.scheduler.block(proc, reason=f"recv:{sock.port}")
         self._rx_waiters[key] = proc
-        woken.add_callback(_WokenRecv(self, proc, sock, max_msgs, result))
-        return result
+        return woken
+
+    def handoff(self, sock: KernelSocket, pkt: Packet) -> bool:
+        """Give a received datagram to ``sock``: wake its blocked reader
+        with the message, or queue it. A socket closed since demux takes
+        nothing, as its port may already be another socket's. Returns
+        whether ``sock`` took the datagram."""
+        if sock.closed:
+            return False
+        payload = pkt.payload_len
+        msg = (payload, pkt.ipv4.src, pkt.l4.sport)
+        sock.rx_bytes += payload
+        proc = self._rx_waiters.pop((sock.proto, sock.port), None)
+        if proc is not None:
+            self.scheduler.wake(proc, value=msg)
+        else:
+            sock.rx_queue.append(msg)
+        return True
 
     def deliver_burst(self, pkts: Sequence[Packet]) -> None:
         """RX entry from the NIC, NAPI style: one softirq processes a whole
@@ -429,18 +454,10 @@ class KernelNetStack:
         if verdict == DROP:
             self.metrics.counter("rx_filtered").inc()
             return
-        if sock is None:
-            self.metrics.counter("rx_no_socket").inc()
-            return
-        payload = pkt.payload_len
-        msg = (payload, pkt.ipv4.src, pkt.l4.sport)
-        sock.rx_bytes += payload
-        self.metrics.counter("rx_pkts").inc()
-        proc = self._rx_waiters.pop((sock.proto, sock.port), None)
-        if proc is not None:
-            self.scheduler.wake(proc, value=msg)
+        if sock is not None and self.handoff(sock, pkt):
+            self.metrics.counter("rx_pkts").inc()
         else:
-            sock.rx_queue.append(msg)
+            self.metrics.counter("rx_no_socket").inc()
 
     def close(self, sock: KernelSocket) -> None:
         """Release ``sock``. A reader blocked on it is woken (no interrupt:

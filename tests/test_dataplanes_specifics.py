@@ -63,7 +63,7 @@ class TestSidecarSpecifics:
         )
         tb.peer.send_udp(1, 7000, 100)
         tb.run_all()
-        assert len(ep.rx_queue) == 0
+        assert len(ep.sock.rx_queue) == 0
 
     def test_sidecar_port_arbitration(self):
         from repro.errors import AddressInUse, PermissionDenied

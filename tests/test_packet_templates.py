@@ -60,8 +60,10 @@ def _send(tb, ep, sizes, dst=None):
 
 
 def _template_of(ep):
-    """The template's holder: the kernel socket on the kernel plane."""
-    return getattr(ep, "sock", ep).udp_template
+    """The template's holder: the kernel socket on the kernel plane. The
+    sidecar's endpoint has a socket too but builds by IP, so it keeps
+    the template itself."""
+    return (ep.sock if ep.dataplane.name == "kernel" else ep).udp_template
 
 
 def _expected_mac(plane, dst_ip):

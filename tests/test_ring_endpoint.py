@@ -98,3 +98,15 @@ class TestPerPlaneDifferences:
             labels = [s.label for s in ctx.spans]
             assert fetch_label in labels
             assert other_label not in labels
+
+
+@pytest.mark.parametrize("plane", [BypassDataplane, HypervisorDataplane], ids=lambda c: c.name)
+def test_ring_sizes_come_from_the_cost_model(plane):
+    """Like KOPI's, a ring endpoint's rings are as deep as the cost model
+    says, and so are the pinned regions under them."""
+    costs = replace(DEFAULT_COSTS, rx_ring_entries=8, tx_ring_entries=4)
+    tb = Testbed(plane, costs=costs)
+    ep = tb.dataplane.open_endpoint(tb.spawn("app", "bob", core_id=1), PROTO_UDP, 7000)
+    rx, tx = ep.rings.rx, ep.rings.tx
+    assert (rx.entries, tx.entries) == (8, 4)
+    assert (rx.region.size, tx.region.size) == (8 * 64, 4 * 64)
