@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 from ..net.addresses import IPv4Address
 from ..dataplanes.testbed import PEER_IP, Testbed

@@ -1,4 +1,4 @@
-"""Live flow migration between rack backends (``CostModel.flow_migration``).
+"""Live flow migration between rack backends (``CostModel.cluster_lb``).
 
 Who owns a flow's interposition state when the dataplane spans machines?
 The kernel-visible answer this module implements: state lives *with the
@@ -43,7 +43,7 @@ and the fluid epoch resumes on the new backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import PolicyError
 from ..net.flow import FiveTuple

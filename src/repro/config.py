@@ -202,18 +202,11 @@ class CostModel:
     :class:`~repro.interpose.PolicyEngine` on the switch's control plane
     and every change — VIP install, ring rebuild, per-flow re-steer — is a
     versioned atomic policy commit, so half-installed rules are never
-    evaluated. Off (the default) builds no balancer and keeps the switch
-    byte-identical to the seed forwarding path."""
-
-    flow_migration: bool = False
-    """Allow live migration of established flows between backends
-    (experiment E18): drain the source's fluid epoch, serialize its
-    conntrack entry + flow-fastpath verdict, replay them on the target
-    machine stamped with the *target's* policy epoch, then atomically
-    commit the per-flow re-steering rule via the balancer's interposition
-    point. Loss-free and counter-conserving by construction — in-flight
-    packets finish on the source under the old rule. Requires
-    :attr:`cluster_lb`."""
+    evaluated. A :class:`~repro.dataplanes.multihost.Rack` with the knob
+    on also builds the live-migration coordinator (``Rack.migrate``),
+    which schedules nothing until a migration is asked for. Off (the
+    default) builds neither and keeps the switch byte-identical to the
+    seed forwarding path."""
 
     lb_vnodes: int = 32
     """Virtual nodes per backend on the balancer's consistent-hash ring
@@ -242,8 +235,9 @@ class CostModel:
     flowtable and SRAM quotas (evict-within-tenant before evict-across),
     a per-tenant DRR egress scheduler replacing the KOPI FIFO drain, and
     weighted fair arbitration of SmartNIC pipeline passes and DMA bytes.
-    Fast-forward promotion consults quota headroom and fluid groups never
-    span tenants. Requires :attr:`tenants`."""
+    No flow goes fluid under isolation: the arbiters and the per-tenant
+    egress classes are per-packet state that depends on load, which no
+    frozen profile can replay. Requires :attr:`tenants`."""
 
     tenant_quantum_bytes: int = 1_514
     """DRR byte quantum per round for weight-1 tenants (one MTU frame):
@@ -356,11 +350,6 @@ class CostModel:
             raise ConfigError(
                 "ff_cross_machine requires fast_forward: the end-to-end "
                 "epoch binds two per-machine controllers, so both must exist"
-            )
-        if self.flow_migration and not self.cluster_lb:
-            raise ConfigError(
-                "flow_migration requires cluster_lb: re-steering a migrated "
-                "flow is a balancer policy commit, so the balancer must exist"
             )
         if self.lb_vnodes < 1:
             raise ConfigError(f"lb_vnodes must be >= 1, got {self.lb_vnodes}")

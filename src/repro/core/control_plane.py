@@ -17,7 +17,7 @@ Responsibilities, straight from §4.2–§4.4:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CostModel
 from ..errors import KernelError, NicResourceExhausted

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from .. import units
 from ..config import CostModel
 from ..errors import SimulationError
+from ..host.copies import LAYER_DMA, LAYER_DMA_DIRECT
 from ..host.machine import Machine
 from ..interpose import InterpositionPoint
+from ..interpose.fastpath import CHAIN_KOPI_RX, CHAIN_KOPI_TX
 from ..kernel.kernel import Kernel
 from ..kernel.netfilter import NetfilterRule
 from ..kernel.qdisc import DEFAULT_CLASS
@@ -27,11 +30,22 @@ from ..net.addresses import IPv4Address, MacAddress
 from ..net.capture import Sniffer
 from ..net.link import Link
 from ..net.packet import Packet
+from ..nic.notification import KIND_RX_READY, KIND_TX_DRAINED
+from ..overlay.isa import VERDICT_DROP
 from ..sim import Signal
+from ..sim.fastforward import FlowProfile
+from ..trace import (
+    STAGE_COHERENCE,
+    STAGE_DMA,
+    STAGE_FASTPATH,
+    STAGE_NIC_PIPELINE,
+    STAGE_RING,
+    STAGE_WIRE,
+)
 from ..dataplanes.base import Dataplane, QosConfig, describe_qos
 from .control_plane import ControlPlane
 from .library import NormanEndpoint
-from .nic_dataplane import KOPI_BITSTREAM, KopiNic
+from .nic_dataplane import KOPI_BITSTREAM, SLOT_POLICER, KopiNic
 
 
 class NormanOS(Dataplane):
@@ -175,80 +189,56 @@ class NormanOS(Dataplane):
 
     # --- hybrid fidelity -----------------------------------------------------
 
-    def _ff_conn(self, flow):
-        """The live, NIC-resident connection a cached RX verdict delivers
-        to, or None if any part of the chain is not steady-state."""
-        fp = self.machine.fastpath
-        if fp is None:
-            return None, None
-        from ..interpose.fastpath import CHAIN_KOPI_RX
-
-        entry = fp.peek(CHAIN_KOPI_RX, flow)
-        if entry is None or entry.conn_id is None:
-            return None, None
-        from ..overlay.isa import VERDICT_DROP
-
-        if entry.verdict == VERDICT_DROP:
-            return None, None
+    def _ff_steady(self, chain: str, flow):
+        """``(entry, conn)`` when ``flow`` is in steady state on ``chain``
+        (KOPI RX or TX), else None. Steady state on KOPI means: the composed
+        verdict (steering + overlay filter + conntrack attach) is live in the
+        flow cache and is not a drop, it delivers to a healthy NIC-resident
+        connection, and nothing that inspects, rewrites or arbitrates
+        individual packets is attached: no capture session (the sniffer must
+        see real packets), no NAT (per-packet rewrites), no structural LLC
+        (per-line cache state would make the frozen read cost wrong), and no
+        tenant isolation (the per-tenant pipeline and DMA arbiters and the
+        per-tenant egress classes are load-dependent per-packet state)."""
+        machine = self.machine
+        if (self.sniffer.active_sessions or self.nic.nat is not None
+                or machine.llc is not None or machine.tenants.isolation):
+            return None
+        entry = machine.fastpath.peek(chain, flow)
+        if (entry is None or entry.conn_id is None
+                or entry.verdict == VERDICT_DROP):
+            return None
         conn = self.nic.conn_resolver(entry.conn_id)
         if conn is None or conn.closed or conn.fallback:
-            return None, None
+            return None
         return entry, conn
 
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on KOPI means: the composed RX verdict (steering +
-        overlay filter + conntrack attach) is live in the flow cache, it
-        delivers to a healthy NIC-resident connection, and nothing that
-        inspects or rewrites individual packets is attached — no capture
-        session (the sniffer must see real packets), no NAT (per-packet
-        rewrites), no structural LLC (per-line cache state would make the
-        frozen read cost wrong). Under tenant isolation, promotion also
-        consults quota headroom: a tenant at its flowtable quota or over
-        its SRAM cap is about to start evicting/falling back, which is
-        exactly the regime the exact path must keep simulating."""
-        entry, conn = self._ff_conn(flow)
-        if conn is None:
-            return False
-        if self.sniffer.active_sessions:
-            return False
-        if self.nic.nat is not None:
-            return False
-        if self.machine.llc is not None:
-            return False
-        tenants = self.machine.tenants
-        if tenants.isolation:
-            tenant = tenants.resolve(conn.proc)
-            fp = self.machine.fastpath
-            if fp is not None and fp.at_quota(tenant):
-                return False
-            if not self.nic.sram.tenant_headroom(tenant):
-                return False
-        return True
+    def _ff_freeze(self, spans, deliver, entry, conn, pkt) -> FlowProfile:
+        """The :class:`FlowProfile` of a steady flow on either chain: its
+        per-packet spans and side effects, on the owner's core, keyed by the
+        verdict's chain versions and (with tenants on) the owner's tenant."""
+        return FlowProfile(
+            spans, core_id=conn.proc.core_id, wire_len=pkt.wire_len,
+            payload_len=pkt.payload_len, deliver=deliver, conn_id=conn.conn_id,
+            versions=entry.versions,
+            tenant_tid=(self.machine.tenants.resolve(conn.proc).tid
+                        if self.costs.tenants else None),
+        )
 
-    def ff_profile(self, flow, pkt):
-        """Freeze the steady-state per-packet shape: the fixed NIC pipeline
+    def ff_profile(self, flow, pkt) -> Optional[FlowProfile]:
+        """Freeze the steady-state per-packet RX shape, or None for a flow
+        that must stay exact (:meth:`_ff_steady`): the fixed NIC pipeline
         and flow-cache hit (hardware time), then the library's descriptor
         consume and analytic memory read (CPU time on the owner's core).
         The deliver closure replays every counter the exact path moves —
         NIC meters, cache hit/skip counters, the cached conntrack entry,
         the DMA-direct copy ledger, and receive credit + notification."""
-        from ..host.copies import LAYER_DMA_DIRECT
-        from ..interpose.fastpath import CHAIN_KOPI_RX
-        from ..nic.notification import KIND_RX_READY
-        from ..sim.fastforward import FlowProfile
-        from ..trace import (
-            STAGE_COHERENCE,
-            STAGE_FASTPATH,
-            STAGE_NIC_PIPELINE,
-            STAGE_RING,
-        )
-
-        entry, conn = self._ff_conn(flow)
-        if conn is None:
+        steady = self._ff_steady(CHAIN_KOPI_RX, flow)
+        if steady is None:
             return None
+        entry, conn = steady
         machine = self.machine
         fp = machine.fastpath
-        costs = self.costs
         wire_len = pkt.wire_len
         payload_len = pkt.payload_len
         # Same line count the delivery path will stamp on the packet
@@ -259,7 +249,7 @@ class NormanOS(Dataplane):
         spans = (
             (STAGE_NIC_PIPELINE, self.nic._fixed_latency(), False, "rx_pipeline"),
             (STAGE_FASTPATH, fp.hit_ns, False, "rx_flow_cache"),
-            (STAGE_RING, costs.bypass_rx_pkt_ns, True, "rx_desc"),
+            (STAGE_RING, self.costs.bypass_rx_pkt_ns, True, "rx_desc"),
             (STAGE_COHERENCE, read_ns, True, "mem_read"),
         )
         points = entry.points
@@ -288,13 +278,7 @@ class NormanOS(Dataplane):
             if nic.notify is not None:
                 nic.notify(conn, KIND_RX_READY, n)
 
-        return FlowProfile(
-            spans, core_id=conn.proc.core_id, wire_len=wire_len,
-            payload_len=payload_len, deliver=deliver, conn_id=conn.conn_id,
-            versions=entry.versions,
-            tenant_tid=(machine.tenants.resolve(conn.proc).tid
-                        if costs.tenants else None),
-        )
+        return self._ff_freeze(spans, deliver, entry, conn, pkt)
 
 
 class KopiTxFastForward:
@@ -316,113 +300,41 @@ class KopiTxFastForward:
     def __init__(self, os: NormanOS):
         self._os = os
 
-    def _ff_conn(self, flow):
-        """The live, NIC-resident connection whose cached TX verdict covers
-        ``flow``, or None if any part of the chain is not steady-state."""
-        machine = self._os.machine
-        fp = machine.fastpath
-        if fp is None:
-            return None, None
-        from ..interpose.fastpath import CHAIN_KOPI_TX
+    def ff_profile(self, flow, pkt) -> Optional[FlowProfile]:
+        """Freeze the steady-state per-send shape of a single-packet burst,
+        or None for a flow that must stay exact. On top of the plane's
+        steady state (:meth:`NormanOS._ff_steady`) the TX path refuses a
+        non-default scheduling class (fairness arbitration between classes
+        is load-dependent), a policer token bucket, congestion pacing, a
+        connection rate, a non-empty TX ring (only isolated single sends —
+        the app-timer shape — are frozen), qdisc backlog (zero queue
+        residency is part of the profile) and a wire with nothing on the
+        far end able to absorb a fluid epoch (no single-host peer hook, no
+        rack coordinator: on the multihost testbed without
+        ``ff_cross_machine`` this is demote-at-wire).
 
-        entry = fp.peek(CHAIN_KOPI_TX, flow)
-        if entry is None or entry.conn_id is None:
-            return None, None
-        from ..overlay.isa import VERDICT_DROP
-
-        if entry.verdict == VERDICT_DROP:
-            return None, None
-        if entry.qdisc_class is not None:
-            # Non-default scheduling class: fairness arbitration between
-            # classes is load-dependent, not a frozen per-packet shape.
-            return None, None
-        conn = self._os.nic.conn_resolver(entry.conn_id)
-        if conn is None or conn.closed or conn.fallback:
-            return None, None
-        return entry, conn
-
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on the KOPI TX path: the cached verdict delivers a
-        healthy NIC-resident connection to the default class, nothing
-        per-packet-interesting is attached (capture, NAT, policer token
-        bucket, congestion pacing, structural LLC), the TX ring is empty
-        (isolated single sends — the app-timer shape) and the egress qdisc
-        carries no backlog (zero queue residency is part of the frozen
-        profile)."""
-        from .nic_dataplane import SLOT_POLICER
-
-        entry, conn = self._ff_conn(flow)
-        if conn is None:
-            return False
+        The profile is descriptor post + doorbell MMIO (CPU on the owner's
+        core), PCIe descriptor fetch, TX flow-cache hit, the fixed pipeline,
+        and the uncontended wire. The deliver closure replays every counter
+        the exact path moves — connection/NIC/DMA/ledger counters, the
+        cached conntrack entry, cache hits, the qdisc's zero-residency
+        transit, the egress link, and the peer's bulk receive."""
         os_ = self._os
-        nic = os_.nic
-        if os_.sniffer.active_sessions:
-            return False
-        if nic.nat is not None or nic.congestion is not None:
-            return False
-        if nic.fpga.machine(SLOT_POLICER) is not None:
-            return False
-        if os_.machine.llc is not None:
-            return False
-        if conn.rate_bps is not None:
-            return False
-        if not conn.rings.tx.is_empty:
-            return False
-        if nic.scheduler.backlog:
-            return False
-        if not nic.egress.has_fluid_rx:
-            # The wire is a fidelity boundary: with nothing on the far end
-            # able to absorb a fluid epoch (no single-host peer hook, no
-            # rack coordinator), an absorbed send would vanish at the link.
-            # On the multihost testbed this is literally demote-at-wire —
-            # cross-host TX stays exact unless ff_cross_machine wired the
-            # uplink into the switch's fluid path.
-            return False
-        tenants = os_.machine.tenants
-        if tenants.isolation:
-            # Quota headroom gates promotion (same rationale as the RX
-            # side); the zero-backlog check above already guarantees the
-            # per-tenant DRR is work-conserving FIFO for the frozen shape.
-            tenant = tenants.resolve(conn.proc)
-            fp = os_.machine.fastpath
-            if fp is not None and fp.at_quota(tenant):
-                return False
-            if not nic.sram.tenant_headroom(tenant):
-                return False
-        return True
-
-    def ff_profile(self, flow, pkt):
-        """Freeze the steady-state per-send shape of a single-packet burst:
-        descriptor post + doorbell MMIO (CPU on the owner's core), PCIe
-        descriptor fetch, TX flow-cache hit, the fixed pipeline, and the
-        uncontended wire. The deliver closure replays every counter the
-        exact path moves — connection/NIC/DMA/ledger counters, the cached
-        conntrack entry, cache hits, the qdisc's zero-residency transit,
-        the egress link, and the peer's bulk receive."""
-        from .. import units
-        from ..host.copies import LAYER_DMA
-        from ..interpose.fastpath import CHAIN_KOPI_TX
-        from ..nic.notification import KIND_TX_DRAINED
-        from ..sim.fastforward import FlowProfile
-        from ..trace import (
-            STAGE_DMA,
-            STAGE_FASTPATH,
-            STAGE_NIC_PIPELINE,
-            STAGE_RING,
-            STAGE_WIRE,
-        )
-
-        entry, conn = self._ff_conn(flow)
-        if conn is None:
+        steady = os_._ff_steady(CHAIN_KOPI_TX, flow)
+        if steady is None:
             return None
-        os_ = self._os
-        machine = os_.machine
+        entry, conn = steady
         nic = os_.nic
+        egress = nic.egress
+        if (entry.qdisc_class is not None or nic.congestion is not None
+                or nic.fpga.machine(SLOT_POLICER) is not None
+                or conn.rate_bps is not None or not conn.rings.tx.is_empty
+                or nic.scheduler.backlog or not egress.has_fluid_rx):
+            return None
+        machine = os_.machine
         fp = machine.fastpath
         costs = os_.costs
         wire_len = pkt.wire_len
-        payload_len = pkt.payload_len
-        egress = nic.egress
         pcie_ser = units.transmit_time_ns(wire_len, costs.pcie_bandwidth_bps)
         wire_ns = (units.transmit_time_ns(wire_len, egress.rate_bps)
                    + egress.propagation_ns)
@@ -469,10 +381,4 @@ class KopiTxFastForward:
             if nic.notify is not None:
                 nic.notify(conn, KIND_TX_DRAINED, n)
 
-        return FlowProfile(
-            spans, core_id=conn.proc.core_id, wire_len=wire_len,
-            payload_len=payload_len, deliver=deliver, conn_id=conn.conn_id,
-            versions=entry.versions,
-            tenant_tid=(machine.tenants.resolve(conn.proc).tid
-                        if costs.tenants else None),
-        )
+        return os_._ff_freeze(spans, deliver, entry, conn, pkt)

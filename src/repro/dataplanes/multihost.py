@@ -8,8 +8,8 @@ serving a bypass host, attributed captures of cross-host RPC, switch MAC
 learning, and so on.
 
 :class:`Rack` is the general form: N backends, optionally fronted by the
-switch's in-network L4 load balancer (``CostModel.cluster_lb``) and a live
-flow-migration coordinator (``CostModel.flow_migration``).
+switch's in-network L4 load balancer (``CostModel.cluster_lb``) and the
+live flow-migration coordinator that re-steers through it.
 :class:`TwoHostTestbed` is the original two-host shape, kept as a thin
 :class:`Rack` with exactly two hosts — same construction order, same
 event trace.
@@ -134,11 +134,11 @@ class HostStack:
 class Rack:
     """N hosts on one switch, each possibly running a different dataplane.
 
-    With the cluster knobs off this is exactly the multi-host wiring the
+    With ``cluster_lb`` off this is exactly the multi-host wiring the
     two-host testbed always did, generalized to N. ``cluster_lb`` grows
-    the switch's L4 balancer stage (:meth:`add_vip` installs services);
-    ``flow_migration`` additionally builds the migration coordinator
-    (:meth:`migrate` moves a live flow between backends).
+    the switch's L4 balancer stage (:meth:`add_vip` installs services)
+    and the migration coordinator (:meth:`migrate` moves a live flow
+    between backends).
     """
 
     __test__ = False
@@ -187,22 +187,21 @@ class Rack:
                     ip=host.ip, mac=host.mac, port=host.port,
                     uplink=host.uplink, downlink=host.downlink,
                 )
-        # Cluster scale-out: the balancer (and on top of it the migration
-        # coordinator) exist only behind their knobs — with both off, no
+        # Cluster scale-out: the balancer and, on top of it, the migration
+        # coordinator exist only behind ``cluster_lb`` — with it off, no
         # object is constructed and the switch's forwarding loop never
-        # probes a balancer that could steer.
+        # probes a balancer that could steer. Building the coordinator
+        # schedules nothing.
         self.balancer: Optional[L4LoadBalancer] = None
         self.coordinator: Optional[MigrationCoordinator] = None
         self._vip_count = 0
         if costs.cluster_lb:
             self.balancer = L4LoadBalancer(self.sim, self.switch, costs)
+            self.coordinator = MigrationCoordinator(
+                self.sim, costs, self.balancer)
             for host in self.hosts:
                 self.balancer.register_backend(host.name, host.mac)
-            if costs.flow_migration:
-                self.coordinator = MigrationCoordinator(
-                    self.sim, costs, self.balancer)
-                for host in self.hosts:
-                    self.coordinator.add_backend(host.name, host)
+                self.coordinator.add_backend(host.name, host)
 
     # -- cluster control plane ---------------------------------------------
 
@@ -239,7 +238,7 @@ class Rack:
         :class:`~repro.cluster.MigrationCoordinator`)."""
         if self.coordinator is None:
             raise PolicyError(
-                "migrate needs CostModel.flow_migration: with the knob off "
+                "migrate needs CostModel.cluster_lb: with the knob off "
                 "no migration coordinator exists")
         return self.coordinator.migrate(flow, target)
 

@@ -13,7 +13,6 @@ from typing import Callable, List, Optional, Type
 from ..config import DEFAULT_COSTS, CostModel
 from ..host.machine import Machine
 from ..net.addresses import IPv4Address, MacAddress
-from ..net.headers import PROTO_TCP
 from ..net.link import Link
 from ..net.packet import Packet, make_tcp, make_udp
 from ..sim import MetricSet, Simulator

@@ -24,7 +24,7 @@ the tax, and KOPI's near-empty CPU columns are the point of the paper.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..trace.stages import STAGES

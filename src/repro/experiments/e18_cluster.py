@@ -88,7 +88,7 @@ def _parity_costs(costs: CostModel, n_flows: int) -> CostModel:
             costs.smartnic_sram_bytes, 8 * n_flows * costs.conn_state_bytes),
         rx_ring_entries=2_048, tx_ring_entries=2_048,
         fast_forward=True, ff_tx=True, ff_promote_after=2,
-        cluster_lb=True, flow_migration=True,
+        cluster_lb=True,
     )
 
 
@@ -101,7 +101,7 @@ def _rebalance_costs(costs: CostModel) -> CostModel:
         smartnic_sram_bytes=max(
             costs.smartnic_sram_bytes, 256 * costs.conn_state_bytes),
         rx_ring_entries=4_096, tx_ring_entries=4_096,
-        cluster_lb=True, flow_migration=True,
+        cluster_lb=True,
     )
 
 

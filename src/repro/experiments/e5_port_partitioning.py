@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core import NormanOS
-from ..dataplanes import (
-    BypassDataplane,
-    HypervisorDataplane,
-    KernelPathDataplane,
-    SidecarDataplane,
-    Testbed,
-)
+from ..dataplanes import Testbed
 from ..errors import AddressInUse
 from ..kernel.netfilter import ACCEPT, CHAIN_INPUT, DROP, NetfilterRule
 from ..apps import DatabaseServer, MisconfiguredDatabase

@@ -9,7 +9,7 @@ in polling mode to show §4.3's "supports both".
 
 from __future__ import annotations
 
-from typing import List, Type
+from typing import List
 
 from .. import units
 from ..core import NormanOS

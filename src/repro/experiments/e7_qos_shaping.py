@@ -10,7 +10,7 @@ game's ports change every session).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .. import units
 from ..core import NormanOS

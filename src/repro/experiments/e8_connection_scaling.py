@@ -19,13 +19,12 @@ throughput is computed from the measured per-packet cost:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .. import units
 from ..config import DEFAULT_COSTS, CostModel
 from ..core import NormanOS
 from ..dataplanes import Testbed
-from ..errors import WouldBlock
 from ..net.headers import PROTO_UDP
 from .common import Row, fmt_table
 

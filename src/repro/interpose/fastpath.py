@@ -446,7 +446,7 @@ class FlowFastPath:
 
     def at_quota(self, tenant) -> bool:
         """True when this tenant's flowtable occupancy has reached its
-        quota — the headroom predicate fast-forward promotion consults."""
+        quota."""
         if tenant is None or tenant.flow_quota is None:
             return False
         return self._tenant_entries.get(tenant.tid, 0) >= tenant.flow_quota

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import KernelError
 from .process import PROC_EXITED, Process

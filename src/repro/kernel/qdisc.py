@@ -17,7 +17,7 @@ can drive it:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from .. import units
 from ..errors import PolicyError

@@ -9,7 +9,7 @@ switch on the woken thread's core — and records block/wake latencies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..config import CostModel
 from ..errors import KernelError

@@ -9,7 +9,7 @@ those refusals against a year of netfilter/sched churn.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import NicResourceExhausted, ReconfigurationUnsupported, UnsupportedOperation
 from ..net.packet import Packet

@@ -17,7 +17,7 @@ to absolute indices (the verifier then checks they are forward).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import AssemblerError
 from .isa import (

@@ -187,8 +187,8 @@ class FastForwardController:
     promotion streaks, epoch sizing, the flush horizon, and the
     demote-on-boundary contract (flush first, so packets absorbed before a
     boundary are charged under the profile that was valid when they ran).
-    A plane's fast-forward contract is ``name`` + ``ff_eligible`` +
-    ``ff_profile``.
+    A plane's fast-forward contract is ``name`` + ``ff_profile``, which
+    returns None for a flow that must stay exact.
     """
 
     def __init__(self, sim, costs, tracer, cpus):
@@ -203,12 +203,11 @@ class FastForwardController:
         # Cross-machine coordination hooks (wired by RackFastForward; all
         # None on a standalone host, which keeps per-host behaviour
         # byte-identical to the single-controller engine):
-        #: ``gate(plane, key) -> bool`` consulted after the plane's own
-        #: eligibility check; a veto resets the promotion streak.
-        self.promotion_gate: Optional[Callable[[object, object], bool]] = None
-        #: ``hook(plane, key, state)`` fired once promotion (and group
-        #: placement) completed.
-        self.on_promote: Optional[Callable[[object, object, FlowState], None]] = None
+        #: ``gate(plane, key, profile)`` consulted for a profile the plane
+        #: accepted: it returns the profile to promote under, or None to
+        #: veto, which resets the promotion streak.
+        self.promotion_gate: Optional[Callable[
+            [object, object, FlowProfile], Optional[FlowProfile]]] = None
         #: ``hook(key, reason)`` fired at the *top* of a promoted flow's
         #: demotion, before its residue is flushed — the window in which a
         #: coordinator can flush a bound peer *through* this still-promoted
@@ -226,8 +225,9 @@ class FastForwardController:
     def note_exact(self, plane, key, pkt) -> None:
         """Record one steady-state exact packet (a verdict-cache hit on a
         plane that supports fast-forward). After ``ff_promote_after``
-        consecutive such packets on an eligible flow, the plane is asked for
-        a profile and the flow goes fluid."""
+        consecutive such packets the plane is asked for a profile, and the
+        gate (if any) for the profile to promote under; the flow goes fluid
+        under it. A refusal by either starts the streak over."""
         state = self._flows.get(key)
         if state is None:
             state = self._flows[key] = FlowState(key, plane)
@@ -236,14 +236,9 @@ class FastForwardController:
         state.streak += 1
         if state.streak < self.costs.ff_promote_after:
             return
-        if not plane.ff_eligible(key):
-            state.streak = 0
-            return
-        if self.promotion_gate is not None and \
-                not self.promotion_gate(plane, key):
-            state.streak = 0
-            return
         profile = plane.ff_profile(key, pkt)
+        if profile is not None and self.promotion_gate is not None:
+            profile = self.promotion_gate(plane, key, profile)
         if profile is None:
             state.streak = 0
             return
@@ -252,18 +247,12 @@ class FastForwardController:
         self.promotions += 1
         if profile.conn_id is not None:
             self._by_conn.setdefault(profile.conn_id, []).append(state)
-        self._group_insert(state, plane, profile)
-        if self.on_promote is not None:
-            self.on_promote(plane, key, state)
-
-    def _group_insert(self, state: FlowState, plane, profile: FlowProfile
-                      ) -> None:
         gkey = (id(plane), profile.versions, profile.spans,
                 profile.core_id, profile.wire_len, profile.tenant_tid)
         group = self._groups.get(gkey)
         if group is None:
             group = self._groups[gkey] = FlowGroup(gkey, plane)
-        group.members[state.key] = state
+        group.members[key] = state
         state.group = group
 
     def _group_remove(self, state: FlowState) -> None:
@@ -275,30 +264,6 @@ class FastForwardController:
                 group.flush_handle.cancel()
                 group.flush_handle = None
             del self._groups[group.key]
-
-    def rebind(self, key, profile: FlowProfile) -> None:
-        """Swap a promoted flow onto a new :class:`FlowProfile` — the
-        cross-machine promotion path extends a sender's TX profile with the
-        switch-hop wire span. Any pending epoch is flushed first (charged
-        under the profile it was absorbed under), and the flow moves to the
-        group matching the new shape."""
-        state = self._flows.get(key)
-        if state is None or not state.promoted:
-            raise SimulationError(f"rebind of unpromoted flow {key!r}")
-        self._flush_state(state)
-        self._group_remove(state)
-        old = state.profile
-        if old is not None and old.conn_id != profile.conn_id:
-            if old.conn_id is not None:
-                peers = self._by_conn.get(old.conn_id)
-                if peers is not None:
-                    peers.remove(state)
-                    if not peers:
-                        del self._by_conn[old.conn_id]
-            if profile.conn_id is not None:
-                self._by_conn.setdefault(profile.conn_id, []).append(state)
-        state.profile = profile
-        self._group_insert(state, state.plane, profile)
 
     def promoted(self, key) -> bool:
         state = self._flows.get(key)
@@ -637,20 +602,20 @@ class RackFastForward:
     """End-to-end fluid epochs across the switch hop (``ff_cross_machine``).
 
     The coordinator sits above the per-machine controllers and never charges
-    costs itself. It drives three hooks:
+    costs itself. It drives two hooks:
 
     * ``promotion_gate`` — a sender's TX flow may only go fluid when the
       receiving rack host's RX flow is *already* promoted and the switch
       path is frozen (learned port correct, no match-action rules). Until
       then the TX side keeps simulating exactly; a veto resets the streak.
-    * ``on_promote`` — when a gated TX promotion lands, the sender's profile
-      is rebound to an *extended* profile carrying the receiver-side
-      downlink wire span, and the flow is recorded as a
-      :class:`CrossMachineFlow`. From then on an absorbed send is the whole
-      A → switch → B packet: the TX epoch's deliver closure pushes the bulk
-      through ``Link.send_fluid`` → ``L2Switch.forward_fluid`` →
-      ``Link.send_fluid`` into the receiver's own pending epoch, moving
-      link meters and switch counters exactly as N exact packets would.
+      A TX promotion the gate lets through is recorded as a
+      :class:`CrossMachineFlow` and promotes under an *extended* profile,
+      the sender's plus the receiver-side downlink wire span. From then on
+      an absorbed send is the whole A → switch → B packet: the TX epoch's
+      deliver closure pushes the bulk through ``Link.send_fluid`` →
+      ``L2Switch.forward_fluid`` → ``Link.send_fluid`` into the receiver's
+      own pending epoch, moving link meters and switch counters exactly as
+      N exact packets would.
     * ``on_demote`` — either side's boundary demotes the *whole* end-to-end
       flow before the boundary's effect is simulated: the sender's residue
       is flushed first (through the still-promoted chain, so in-flight
@@ -687,52 +652,43 @@ class RackFastForward:
         self._host_by_ip[ip] = host
         ctrl = host.ctrl
         ctrl.promotion_gate = \
-            lambda plane, key, _h=host: self._gate(_h, plane, key)
-        ctrl.on_promote = \
-            lambda plane, key, state, _h=host: \
-            self._on_promote(_h, plane, key, state)
+            lambda plane, key, profile, _h=host: \
+            self._gate(_h, plane, key, profile)
         ctrl.on_demote = \
             lambda key, reason, _h=host: self._on_demote(_h, key, reason)
         return host
 
     # -- the promotion protocol --------------------------------------------
 
-    def _gate(self, host: RackHost, plane, key) -> bool:
+    def _gate(self, host: RackHost, plane, key,
+              profile: FlowProfile) -> Optional[FlowProfile]:
         """TX promotions are held until the far end is ready: the receiver's
         RX flow must already be fluid and the switch path frozen
-        (:func:`peer_path_ready`). RX promotions are never gated — they are
-        per-machine as before. A destination this rack does not host (a
-        hairpin to self, or a VIP the balancer still owns) never binds."""
+        (:func:`peer_path_ready`). A held promotion is a veto (None). A
+        ready one binds a :class:`CrossMachineFlow` and returns the sender's
+        profile extended by the receiver's downlink wire span. RX
+        promotions are never gated — they are per-machine as before. A
+        destination this rack does not host (a hairpin to self, or a VIP
+        the balancer still owns) never binds."""
         if plane is not host.tx_plane:
-            return True
+            return profile
         peer = self._host_by_ip.get(key.dst_ip)
         if peer is host or not peer_path_ready(self.switch, peer, key):
             self.gate_vetoes += 1
-            return False
-        return True
-
-    def _on_promote(self, host: RackHost, plane, key,
-                    state: FlowState) -> None:
-        if plane is not host.tx_plane:
-            return
-        peer = self._host_by_ip.get(key.dst_ip)
-        if peer is None:  # pragma: no cover - gate guarantees a peer
-            return
+            return None
         from .. import units
         from ..trace import STAGE_WIRE
-        prof = state.profile
-        assert prof is not None
-        wire_ns = (units.transmit_time_ns(prof.wire_len,
-                                          peer.downlink.rate_bps)
-                   + peer.downlink.propagation_ns)
-        extended = FlowProfile(
-            prof.spans + ((STAGE_WIRE, wire_ns, False, peer.downlink.name),),
-            prof.core_id, prof.wire_len, payload_len=prof.payload_len,
-            deliver=prof.deliver, conn_id=prof.conn_id, versions=prof.versions,
-            tenant_tid=prof.tenant_tid)
-        host.ctrl.rebind(key, extended)
+        down = peer.downlink
+        wire_ns = (units.transmit_time_ns(profile.wire_len, down.rate_bps)
+                   + down.propagation_ns)
         self._bound[key] = CrossMachineFlow(key, host, peer)
         self.bindings += 1
+        return FlowProfile(
+            profile.spans + ((STAGE_WIRE, wire_ns, False, down.name),),
+            profile.core_id, profile.wire_len,
+            payload_len=profile.payload_len, deliver=profile.deliver,
+            conn_id=profile.conn_id, versions=profile.versions,
+            tenant_tid=profile.tenant_tid)
 
     def _on_demote(self, host: RackHost, key, reason: str) -> None:
         cmf = self._bound.pop(key, None)

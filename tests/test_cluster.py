@@ -44,7 +44,7 @@ PAYLOAD = 600
 def _costs(**over):
     base = dict(
         flow_fastpath=True, fast_forward=True, ff_tx=True,
-        ff_promote_after=2, cluster_lb=True, flow_migration=True,
+        ff_promote_after=2, cluster_lb=True,
     )
     base.update(over)
     return DEFAULT_COSTS.replace(**base)
@@ -390,7 +390,10 @@ class TestMigration:
             rack.migrate(not_vip, "srv1")
 
     def test_migrate_requires_knob(self):
-        rack, _, _ = _cluster(costs=_costs(flow_migration=False))
+        specs = [HostSpec.indexed(0, "client", NormanOS),
+                 HostSpec.indexed(1, "srv0", NormanOS),
+                 HostSpec.indexed(2, "srv1", NormanOS)]
+        rack = Rack(specs, costs=_costs(cluster_lb=False), n_cores=2)
         assert rack.coordinator is None
         with pytest.raises(PolicyError):
             rack.migrate(_flow(rack), "srv1")
@@ -459,10 +462,6 @@ class TestSeedIdentity:
         assert tb.coordinator is None
         assert tb.switch._balancer is None
 
-    def test_flow_migration_requires_cluster_lb(self):
-        with pytest.raises(ConfigError):
-            DEFAULT_COSTS.replace(flow_migration=True)
-
     def test_lb_vnodes_validated(self):
         with pytest.raises(ConfigError):
             DEFAULT_COSTS.replace(cluster_lb=True, lb_vnodes=0)
@@ -501,6 +500,6 @@ class TestSeedIdentity:
         base = dict(flow_fastpath=True)
         off = self._fingerprint(DEFAULT_COSTS.replace(**base))
         on = self._fingerprint(DEFAULT_COSTS.replace(
-            cluster_lb=True, flow_migration=True, **base))
+            cluster_lb=True, **base))
         assert on == off
         assert on["delivered"] == 8

@@ -44,7 +44,7 @@ SPORT = 700
 class StubPlane:
     """Records every (key, n) the controller charges, through the deliver
     closure of the profile it hands out (``profile`` is the template;
-    ``None`` refuses promotion)."""
+    ``None``, or ``eligible = False``, refuses promotion)."""
 
     name = "stub"
 
@@ -53,12 +53,9 @@ class StubPlane:
         self.eligible = True
         self.charges = []
 
-    def ff_eligible(self, key):
-        return self.eligible
-
     def ff_profile(self, key, pkt):
         t = self.profile
-        if t is None:
+        if t is None or not self.eligible:
             return None
         return FlowProfile(
             t.spans, core_id=t.core_id, wire_len=t.wire_len,
@@ -215,6 +212,78 @@ class TestControllerUnit:
             REASON_QDISC, REASON_PRESSURE, REASON_SHAPE, REASON_SWITCH,
             REASON_MIGRATE,
         }
+
+
+class TestPromotionGate:
+    """Promotion is one step: the plane's profile, then the gate's answer
+    for it (the rack coordinator's hook), which is the profile the flow
+    promotes under, or None to veto."""
+
+    @staticmethod
+    def _gated(ff, answer):
+        """Install a gate that records each call and returns
+        ``answer(profile)``."""
+        calls = []
+
+        def gate(plane, key, profile):
+            calls.append(key)
+            return answer(profile)
+
+        ff.promotion_gate = gate
+        return calls
+
+    def test_plane_refusal_never_reaches_the_gate(self):
+        _sim, ff = _controller()
+        calls = self._gated(ff, lambda profile: profile)
+        plane = StubPlane(None)
+        for _ in range(3):
+            ff.note_exact(plane, "k", None)
+        assert not ff.promoted("k")
+        assert calls == []
+        # The refusal started the streak over.
+        plane.profile = _profile()
+        ff.note_exact(plane, "k", None)
+        ff.note_exact(plane, "k", None)
+        assert calls == [] and not ff.promoted("k")
+        ff.note_exact(plane, "k", None)
+        assert calls == ["k"] and ff.promoted("k")
+
+    def test_gate_veto_resets_streak_and_leaves_no_group(self):
+        _sim, ff = _controller()
+        calls = self._gated(ff, lambda profile: None)
+        plane = StubPlane(_profile())
+        for _ in range(3):
+            ff.note_exact(plane, "k", None)
+        assert calls == ["k"]
+        assert not ff.promoted("k")
+        assert ff.groups == 0 and ff.promotions == 0
+        # The veto started the streak over: the gate is next asked after
+        # a full streak, not on the next packet.
+        ff.note_exact(plane, "k", None)
+        ff.note_exact(plane, "k", None)
+        assert calls == ["k"]
+        ff.note_exact(plane, "k", None)
+        assert calls == ["k", "k"]
+
+    def test_gate_pass_promotes_under_the_returned_profile(self):
+        costs = DEFAULT_COSTS.replace(
+            flow_fastpath=True, fast_forward=True, ff_promote_after=3)
+        sim = Simulator()
+        tracer = Tracer(sim, enabled=True)
+        ff = FastForwardController(sim, costs, tracer, CpuSet(sim, 2, costs))
+        wire = ("wire", 400, False, "peer.down")
+        self._gated(ff, lambda profile: FlowProfile(
+            profile.spans + (wire,), profile.core_id, profile.wire_len,
+            deliver=profile.deliver, conn_id=profile.conn_id))
+        plane = StubPlane(_profile())
+        for _ in range(3):
+            ff.note_exact(plane, "k", None)
+        assert ff.promoted("k")
+        assert ff.groups == 1
+        assert ff.absorb("k", 4)
+        ff.flush_all()
+        assert tracer.epochs() == [("stub", 4, _profile().spans + (wire,))]
+        assert plane.charges == [("k", 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +541,6 @@ class LedgerPlane:
         self.cores = cores
         self.charged = Counter()
         self.delivers = 0
-
-    def ff_eligible(self, key):
-        return True
 
     def ff_profile(self, key, pkt):
         return FlowProfile(self.spans, core_id=self.cores[key],

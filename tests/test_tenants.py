@@ -20,6 +20,7 @@ from repro.core import NormanOS
 from repro.dataplanes import KernelPathDataplane, Testbed
 from repro.errors import ConfigError, KernelError, NicResourceExhausted
 from repro.host.cpu import CpuSet
+from repro.experiments.common import drain_until_dry
 from repro.experiments.e17_multi_tenant import PacedVictim
 from repro.host.tenants import (
     TENANT_SYSTEM_TID,
@@ -30,6 +31,7 @@ from repro.interpose import FlowFastPath, InterpositionPoint, PolicyEngine
 from repro.kernel.cgroups import CgroupTree
 from repro.kernel.netfilter import CHAIN_OUTPUT, RuleTable
 from repro.kernel.qdisc import DEFAULT_CLASS, DrrQdisc
+from repro.net.headers import PROTO_UDP
 from repro.net.packet import make_udp
 from repro.nic.smartnic.sram import SramAllocator
 from repro.nic.tenant_sched import WeightedFairClock
@@ -406,7 +408,7 @@ class TestFastForwardTenantCorrectness:
         sim = Simulator()
         ctrl = FastForwardController(sim, costs, Tracer(sim),
                                      CpuSet(sim, 1, costs))
-        plane = SimpleNamespace(ff_eligible=lambda _k: True, ff_profile=None)
+        plane = SimpleNamespace(ff_profile=None)
         # Identical span shape, wire length and core — only the tenant
         # differs. The flows must land in two distinct fluid groups.
         self._promote(ctrl, plane, "flow_a", tid=1)
@@ -430,6 +432,47 @@ class TestFastForwardTenantCorrectness:
         promoted = [s for s in ctrl._flows.values() if s.profile is not None]
         assert ctrl.promotions > 0 and promoted
         assert all(s.profile.tenant_tid == alice.tid for s in promoted)
+
+    @staticmethod
+    def _isolation_probe(fast_forward):
+        """Under isolation: two tenants (weights 1 and 4) each receive 200
+        back-to-back MTU packets, and one tenant sends 64 spaced single
+        packets. Returns the pipeline arbiter's traced work and grants and
+        the egress qdisc's per-tenant accounting."""
+        costs = ISO_COSTS.replace(flow_fastpath=True, trace=True,
+                                  fast_forward=fast_forward)
+        rx = Testbed(NormanOS, costs=costs)
+        eps = []
+        for i, (name, weight) in enumerate((("light", 1), ("heavy", 4))):
+            rx.machine.tenants.register(name, uid=rx.user(name).uid,
+                                        weight=weight)
+            proc = rx.spawn(f"srv{i}", name, core_id=1 + i)
+            eps.append(rx.dataplane.open_endpoint(proc, PROTO_UDP, 9_000 + i))
+        rx.run_all()
+        for _ in range(200):
+            for i in range(2):
+                rx.peer.send_udp(700 + i, 9_000 + i, 1_458)
+        rx.run_all()
+        assert drain_until_dry(rx.run_all, eps, 64) == 400
+        tx = Testbed(NormanOS, costs=costs)
+        alice = tx.machine.tenants.register("alice", uid=tx.user("alice").uid)
+        PacedVictim(tx, user="alice", dport=10_000, count=64,
+                    period_ns=20_000).start()
+        tx.run_all()
+        sched = tx.dataplane.nic.scheduler
+        return {
+            "nic_pipeline_ns": rx.machine.tracer.work_by_stage(
+                include_wait=False)["nic_pipeline"],
+            "pipeline_grants": rx.dataplane.nic.pipeline_clock.grants,
+            "qdisc_hits": sched.point.hits,
+            "tenant_sent_bytes": sched.qdisc.sent_bytes[alice.sched_class],
+        }
+
+    def test_isolation_runs_hybrid_exactly(self):
+        # The per-tenant arbiters and egress classes are per-packet state
+        # that depends on load, which no fluid epoch replays: under
+        # isolation no flow may go fluid, so hybrid must match exact.
+        assert self._isolation_probe(True) == self._isolation_probe(False)
 
 
 class TestKernelAttribution:
